@@ -1,5 +1,6 @@
-//! Machine-readable performance trajectory: runs the `perf_streamsim`
-//! scenarios plus a runner-overhead microbench and writes
+//! Machine-readable performance trajectory, and the repository's one
+//! perf harness: runs the streaming-link, fleet, runner-overhead, design,
+//! packet-simulator and statistics-kernel scenarios and writes
 //! `BENCH_streamsim.json` at the repo root (scenario → median seconds,
 //! plus thread count and git revision), so the perf history is
 //! comparable across PRs without parsing bench stdout.
@@ -12,12 +13,18 @@
 
 use std::time::Instant;
 
-use repro_bench::Runner;
+use dessim::SimDuration;
+use expstats::ols::{DesignBuilder, Ols};
+use expstats::CovEstimator;
+use netsim::config::{AppConfig, CcKind, DumbbellConfig};
+use repro_bench::{FailurePolicy, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
 use streamsim::engine::EngineBackend;
 use streamsim::scenario::AllocationSchedule;
-use streamsim::session::LinkId;
+use streamsim::session::{LinkId, Metric};
 use streamsim::sim::LinkSim;
+use unbiased::designs::{paired_link_effects, PairedLinkDesign};
+use unbiased::fleet::DEFAULT_SKETCH_CAP;
 
 fn quick() -> bool {
     std::env::var_os("STREAMSIM_BENCH_QUICK").is_some_and(|v| v != "0")
@@ -79,7 +86,8 @@ fn main() {
 
     let mut rows: Vec<(&str, f64, usize, Option<f64>)> = Vec::new();
 
-    // The two perf_streamsim scenarios (same configs as the bench).
+    // One streaming link: a small day, then the headline 5-day, 1 Gb/s
+    // world that dominates figure-regeneration wall clock.
     let small = StreamConfig {
         days: 1,
         capacity_bps: 100e6,
@@ -135,10 +143,11 @@ fn main() {
         p_hi: 0.95,
         p_lo: 0.05,
     };
+    let fleet_sweep = FleetSweep::new(&fleet_base, &fleet_specs, &fleet_design);
     let fleet_runner = Runner::with_threads(4);
     reset_peak_rss();
     let (m, n) = time_scenario(reps, || {
-        let runs = fleet_runner.sweep_fleet(&fleet_base, &fleet_specs, &fleet_design, &[1, 2]);
+        let runs = fleet_runner.fleet_runs(&fleet_sweep, &[1, 2]);
         std::hint::black_box(
             runs.iter()
                 .map(|r| r.result.total_sessions())
@@ -152,13 +161,8 @@ fn main() {
     // too (undo logs and span buffers are per-link and bounded).
     reset_peak_rss();
     let (m, n) = time_scenario(reps, || {
-        let runs = fleet_runner.sweep_fleet_with(
-            &fleet_base,
-            &fleet_specs,
-            &fleet_design,
-            &[1, 2],
-            EngineBackend::Event,
-        );
+        let runs =
+            fleet_runner.fleet_runs(&fleet_sweep.with_backend(EngineBackend::Event), &[1, 2]);
         std::hint::black_box(
             runs.iter()
                 .map(|r| r.result.total_sessions())
@@ -184,15 +188,11 @@ fn main() {
     };
     reset_peak_rss();
     let (m, n) = time_scenario(reps, || {
-        let runs = fleet_runner.sweep_fleet_streaming_policy(
-            &fleet_base,
-            &fleet_specs,
-            &fleet_design,
+        let runs = fleet_runner.fleet_summaries(
+            &fleet_sweep.with_faults(&faults),
             &[1, 2],
-            unbiased::fleet::DEFAULT_SKETCH_CAP,
-            EngineBackend::Tick,
-            Some(&faults),
-            repro_bench::FailurePolicy::Quarantine { max_failures: 2 },
+            DEFAULT_SKETCH_CAP,
+            FailurePolicy::Quarantine { max_failures: 2 },
         );
         std::hint::black_box(runs.iter().map(|r| r.result.n_sessions).sum::<usize>());
     });
@@ -210,12 +210,11 @@ fn main() {
     let large_seeds = repro_bench::derive_seeds(4242, n_seeds);
     reset_peak_rss();
     let start = Instant::now();
-    let runs = fleet_runner.sweep_fleet_streaming(
-        &large_base,
-        &large_specs,
-        &fleet_design,
+    let runs = fleet_runner.fleet_summaries(
+        &FleetSweep::new(&large_base, &large_specs, &fleet_design),
         &large_seeds,
-        unbiased::fleet::DEFAULT_SKETCH_CAP,
+        DEFAULT_SKETCH_CAP,
+        FailurePolicy::FailFast,
     );
     let elapsed = start.elapsed().as_secs_f64();
     std::hint::black_box(runs.iter().map(|r| r.result.n_sessions).sum::<usize>());
@@ -242,6 +241,59 @@ fn main() {
         std::hint::black_box(out.len());
     });
     rows.push(("runner_overhead_sweep", m, n, None));
+
+    // End-to-end design cost: a small one-day paired-link experiment
+    // plus the full Figure-5 analysis on its throughput.
+    let paired_cfg = repro_bench::paired_config(0.1, 1);
+    let (m, n) = time_scenario(reps, || {
+        let out = PairedLinkDesign::paper(paired_cfg.clone(), 5).run();
+        let effects = paired_link_effects(&out.data, Metric::Throughput).unwrap();
+        std::hint::black_box(effects.tte.relative);
+    });
+    rows.push(("paired_link_1day_small", m, n, None));
+
+    // The packet simulator: a 3-second, 4-flow Reno dumbbell.
+    let dumbbell = DumbbellConfig {
+        bottleneck_bps: 50e6,
+        base_rtt: SimDuration::from_millis(20),
+        apps: vec![AppConfig::plain(CcKind::Reno); 4],
+        duration: SimDuration::from_secs(3),
+        warmup: SimDuration::from_secs(1),
+        ..Default::default()
+    };
+    let (m, n) = time_scenario(reps, || {
+        std::hint::black_box(netsim::run_dumbbell(&dumbbell).unwrap().events);
+    });
+    rows.push(("netsim_dumbbell_3s_4flows", m, n, None));
+
+    // The statistics kernel: the Appendix-B regression — 240 hourly
+    // cells, treatment plus 23 hour dummies, Newey–West SEs. One fit
+    // takes microseconds, so a sample times a fixed batch of fits.
+    const OLS_FITS: usize = 200;
+    let cells = 240;
+    let hours: Vec<usize> = (0..cells).map(|i| i % 24).collect();
+    // Alternate the arm per day-block so it is not collinear with the
+    // hour dummies.
+    let arm: Vec<f64> = (0..cells).map(|i| ((i / 24) % 2) as f64).collect();
+    let y: Vec<f64> = (0..cells)
+        .map(|i| 100.0 + (hours[i] as f64).sin() * 10.0 + arm[i] * 2.0 + (i as f64 * 0.7).sin())
+        .collect();
+    let (m, n) = time_scenario(reps, || {
+        for _ in 0..OLS_FITS {
+            let x = DesignBuilder::new()
+                .intercept(cells)
+                .unwrap()
+                .column("arm", &arm)
+                .unwrap()
+                .dummies("hour", &hours)
+                .unwrap()
+                .build()
+                .unwrap();
+            let fit = Ols::fit(x, &y).unwrap();
+            std::hint::black_box(fit.std_errors(CovEstimator::NeweyWest { lag: 2 }).unwrap()[1]);
+        }
+    });
+    rows.push(("ols_hour_fe_newey_west", m, n, None));
 
     let mut json = String::new();
     json.push_str("{\n");

@@ -34,7 +34,7 @@
 use std::process::ExitCode;
 
 use expstats::table::Table;
-use repro_bench::runner::{derive_seeds, Runner};
+use repro_bench::runner::{derive_seeds, FleetSweep, Runner};
 use streamsim::engine::EngineBackend;
 use streamsim::fleet::{FleetDesign, LinkPopulation};
 use streamsim::scenario::AllocationSchedule;
@@ -193,22 +193,9 @@ fn check_routed(policy: RoutingPolicy) -> Result<(usize, usize), String> {
     let routing = RoutingConfig::new(policy, 3);
     let seeds = derive_seeds(4101, 1);
     let runner = Runner::with_threads(2);
-    let tick = runner.sweep_fleet_routed_with(
-        &base,
-        &specs,
-        &design,
-        &routing,
-        &seeds,
-        EngineBackend::Tick,
-    );
-    let event = runner.sweep_fleet_routed_with(
-        &base,
-        &specs,
-        &design,
-        &routing,
-        &seeds,
-        EngineBackend::Event,
-    );
+    let sweep = FleetSweep::new(&base, &specs, &design).with_routing(&routing);
+    let tick = runner.fleet_runs(&sweep, &seeds);
+    let event = runner.fleet_runs(&sweep.with_backend(EngineBackend::Event), &seeds);
     let (t, e) = (&tick[0].result, &event[0].result);
     if t.links.len() != e.links.len() {
         return Err(format!(

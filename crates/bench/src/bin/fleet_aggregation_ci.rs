@@ -11,7 +11,10 @@
 //! footprint scales with links, not sessions.
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
-use repro_bench::{derive_seeds, fleet_strata_count, fleet_strata_labels, Runner, SeedRun};
+use repro_bench::{
+    derive_seeds, fleet_strata_count, fleet_strata_labels, FailurePolicy, FleetSweep, Runner,
+    SeedRun,
+};
 use streamsim::fleet::FleetDesign;
 use streamsim::session::Metric;
 use unbiased::fleet::{
@@ -91,7 +94,12 @@ fn main() {
     };
 
     let runs: Vec<SeedRun<SeedEstimates>> = Runner::new()
-        .sweep_fleet_streaming(&base, &specs, &design, &seeds, DEFAULT_SKETCH_CAP)
+        .fleet_summaries(
+            &FleetSweep::new(&base, &specs, &design),
+            &seeds,
+            DEFAULT_SKETCH_CAP,
+            FailurePolicy::FailFast,
+        )
         .into_iter()
         .map(|r| SeedRun {
             seed: r.seed,

@@ -12,6 +12,15 @@
 //! * results are written back into their replication's slot, so output
 //!   order is the seed order regardless of which worker finished first.
 //!
+//! Every parallel entry point runs on one chunk-claim loop shared by
+//! [`Runner::map`] and [`Runner::map_fold`]. Fleet
+//! sweeps are described by one spec, [`FleetSweep`] (plant, design,
+//! optional routing, optional telemetry faults, engine backend), and run
+//! through two entry points over one job builder:
+//! [`Runner::fleet_runs`] keeps every session record, and
+//! [`Runner::fleet_summaries`] folds them into bounded-memory
+//! summaries under a [`FailurePolicy`].
+//!
 //! ```
 //! use repro_bench::runner::Runner;
 //!
@@ -21,6 +30,7 @@
 //! ```
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -30,12 +40,12 @@ use netsim::{run_dumbbell, LabResult};
 use streamsim::config::StreamConfig;
 use streamsim::engine::EngineBackend;
 use streamsim::fleet::{
-    run_fleet_link_with, FleetDesign, FleetLinkJob, FleetLinkRun, FleetRun, FleetSim, LinkSpec,
+    run_fleet_link_with, FleetDesign, FleetLinkJob, FleetRun, FleetSim, LinkSpec,
 };
 use streamsim::routing::RoutingConfig;
 use streamsim::scenario::AllocationSchedule;
-use streamsim::session::{LinkId, SessionRecord};
-use streamsim::sim::{HourlyLinkStats, LinkSim, PairedSim};
+use streamsim::session::SessionRecord;
+use streamsim::sim::{HourlyLinkStats, PairedSim};
 use streamsim::telemetry::TelemetryFaults;
 use unbiased::designs::{PairedLinkDesign, PairedOutcome};
 use unbiased::fleet::{FleetLinkSummary, FleetSummary};
@@ -113,8 +123,8 @@ pub struct Runner {
 
 /// Smallest chunk a worker claims. 1 keeps the tail perfectly balanced
 /// (an expensive final replication is never bundled with others); the
-/// decay heuristic in [`Runner::map`] only matters while plenty of work
-/// remains.
+/// decay heuristic in [`Runner::map_fold`] only matters while plenty of
+/// work remains.
 const MIN_CHUNK: usize = 1;
 
 impl Default for Runner {
@@ -147,13 +157,9 @@ impl Runner {
     /// Run `f` over every job, in parallel, preserving job order in the
     /// output.
     ///
-    /// Work distribution is chunked work-stealing: each worker claims a
-    /// contiguous index range sized by a decay heuristic —
-    /// `remaining / (2 · workers)`, clamped to `MIN_CHUNK` — so early
-    /// claims amortize the shared counter over many jobs while late
-    /// claims shrink toward single jobs for tail balance. The worker
-    /// count is clamped to the job count, so `threads > jobs` never
-    /// spawns workers that could only spin on empty claims.
+    /// Each worker collects one result vector per chunk it claims (see
+    /// [`Runner::map_fold`] for the claim discipline); the chunks are
+    /// concatenated in index order at the end.
     ///
     /// A panic in any job propagates to the caller once all workers
     /// have stopped picking up new work.
@@ -163,54 +169,34 @@ impl Runner {
         R: Send,
         F: Fn(&J) -> R + Sync,
     {
-        let n = jobs.len();
-        let workers = self.threads.min(n).max(1);
-        if workers == 1 {
-            return jobs.iter().map(f).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        // Finished chunks are appended wholesale (one lock per chunk,
-        // not per job) and scattered into order afterwards.
-        let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // The chunk size reads a possibly stale counter; the
-                    // fetch_add below is the single source of truth for
-                    // which indices this worker owns, so a stale read
-                    // only mis-sizes the claim, never double-assigns.
-                    let seen = next.load(Ordering::Relaxed);
-                    if seen >= n {
-                        return;
-                    }
-                    let chunk = ((n - seen) / (2 * workers)).max(MIN_CHUNK);
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        return;
-                    }
-                    let end = (start + chunk).min(n);
-                    let results: Vec<R> = jobs[start..end].iter().map(&f).collect();
-                    done.lock().unwrap().push((start, results));
-                });
-            }
-        });
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (start, results) in done.into_inner().unwrap() {
-            for (offset, r) in results.into_iter().enumerate() {
-                slots[start + offset] = Some(r);
-            }
-        }
-        slots
+        let mut chunks: Vec<(usize, Vec<R>)> = self
+            .claim_chunks(jobs.len(), Vec::new, |acc, range| {
+                acc.push((range.start, jobs[range].iter().map(&f).collect()));
+            })
             .into_iter()
-            .map(|r| r.expect("every job slot filled"))
-            .collect()
+            .flatten()
+            .collect();
+        chunks.sort_unstable_by_key(|&(start, _)| start);
+        let mut out = Vec::with_capacity(jobs.len());
+        for (_, results) in chunks {
+            out.extend(results);
+        }
+        assert_eq!(out.len(), jobs.len(), "every job slot filled");
+        out
     }
 
     /// Run `fold(acc, index, job)` over every job and reduce the
     /// per-worker partial accumulators with `merge` — the streaming
     /// counterpart of [`Runner::map`] that never buffers per-job
     /// results.
+    ///
+    /// Work distribution is chunked work-stealing: each worker claims a
+    /// contiguous index range sized by a decay heuristic —
+    /// `remaining / (2 · workers)`, clamped to `MIN_CHUNK` — so early
+    /// claims amortize the shared counter over many jobs while late
+    /// claims shrink toward single jobs for tail balance. The worker
+    /// count is clamped to the job count, so `threads > jobs` never
+    /// spawns workers that could only spin on empty claims.
     ///
     /// Each worker folds the jobs it claims into its own accumulator
     /// (created by `init`); when the job list is drained the partials
@@ -232,14 +218,35 @@ impl Runner {
         F: Fn(&mut A, usize, &J) + Sync,
         M: Fn(&mut A, A) + Sync,
     {
-        let n = jobs.len();
+        let partials = self.claim_chunks(jobs.len(), &init, |acc, range| {
+            let start = range.start;
+            for (i, job) in jobs[range].iter().enumerate() {
+                fold(acc, start + i, job);
+            }
+        });
+        let mut it = partials.into_iter();
+        let mut acc = it.next().unwrap_or_else(&init);
+        for partial in it {
+            merge(&mut acc, partial);
+        }
+        acc
+    }
+
+    /// The one chunk-claim loop behind [`Runner::map`] and
+    /// [`Runner::map_fold`]: workers claim contiguous ranges of `0..n`
+    /// and pass each to `body` with their own accumulator. Returns the
+    /// accumulators of the workers that claimed work.
+    fn claim_chunks<A, I, B>(&self, n: usize, init: I, body: B) -> Vec<A>
+    where
+        A: Send,
+        I: Fn() -> A + Sync,
+        B: Fn(&mut A, Range<usize>) + Sync,
+    {
         let workers = self.threads.min(n).max(1);
         if workers == 1 {
             let mut acc = init();
-            for (i, job) in jobs.iter().enumerate() {
-                fold(&mut acc, i, job);
-            }
-            return acc;
+            body(&mut acc, 0..n);
+            return vec![acc];
         }
 
         let next = AtomicUsize::new(0);
@@ -250,9 +257,11 @@ impl Runner {
                     let mut acc = init();
                     let mut claimed = false;
                     loop {
-                        // Same claim discipline as [`Runner::map`]: the
-                        // stale-counter read only sizes the chunk, the
-                        // fetch_add owns the indices.
+                        // The chunk size reads a possibly stale counter;
+                        // the fetch_add below is the single source of
+                        // truth for which indices this worker owns, so a
+                        // stale read only mis-sizes the claim, never
+                        // double-assigns.
                         let seen = next.load(Ordering::Relaxed);
                         if seen >= n {
                             break;
@@ -262,10 +271,7 @@ impl Runner {
                         if start >= n {
                             break;
                         }
-                        let end = (start + chunk).min(n);
-                        for (i, job) in jobs[start..end].iter().enumerate() {
-                            fold(&mut acc, start + i, job);
-                        }
+                        body(&mut acc, start..(start + chunk).min(n));
                         claimed = true;
                     }
                     // Workers that never claimed work contribute nothing;
@@ -277,12 +283,7 @@ impl Runner {
                 });
             }
         });
-        let mut it = partials.into_inner().unwrap().into_iter();
-        let mut acc = it.next().unwrap_or_else(&init);
-        for partial in it {
-            merge(&mut acc, partial);
-        }
-        acc
+        partials.into_inner().unwrap()
     }
 
     /// Run `scenario(cfg, seed)` once per seed, in parallel; results
@@ -333,23 +334,6 @@ impl Runner {
         grouped
     }
 
-    /// [`Runner::sweep`] over `replications` seeds forked from
-    /// `root_seed` via [`derive_seeds`].
-    pub fn sweep_root<C, R, F>(
-        &self,
-        cfg: &C,
-        root_seed: u64,
-        replications: usize,
-        scenario: F,
-    ) -> Vec<SeedRun<R>>
-    where
-        C: Sync,
-        R: Send,
-        F: Fn(&C, u64) -> R + Sync,
-    {
-        self.sweep(cfg, &derive_seeds(root_seed, replications), scenario)
-    }
-
     /// Sweep the lab dumbbell scenario: each replication reruns
     /// `run_dumbbell` with the config's seed replaced by the
     /// replication seed.
@@ -392,8 +376,9 @@ impl Runner {
         })
     }
 
-    /// Sweep a fleet experiment across replication seeds, scheduling
-    /// **link×seed** jobs as one flat work-stealing list.
+    /// Run a fleet sweep across replication seeds, keeping every link's
+    /// session records, scheduling **link×seed** jobs as one flat
+    /// work-stealing list.
     ///
     /// Fleet links are independent given their derived seeds (see
     /// [`FleetSim`]'s seed discipline), so the whole sweep — every link
@@ -401,101 +386,31 @@ impl Runner {
     /// job list: 200 links × a handful of seeds saturates every core
     /// even when one congested link dominates its replication's
     /// wall-clock. Results are regrouped seed-major and are
-    /// bit-identical to running [`FleetSim::run`] per seed sequentially
+    /// bit-identical to running the per-seed [`FleetSim`] sequentially
     /// (`crates/bench/tests/fleet_parallel.rs` asserts the parity).
-    pub fn sweep_fleet(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_with(base, specs, design, seeds, EngineBackend::Tick)
-    }
-
-    /// [`Runner::sweep_fleet`] on a selected engine backend. Session
-    /// records — and with them every fleet estimator — are bit-identical
-    /// across backends (see `streamsim::engine`), so this is a drop-in
-    /// wall-clock lever, not a different experiment.
-    pub fn sweep_fleet_with(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_impl(base, specs, design, None, seeds, backend)
-    }
-
-    /// [`Runner::sweep_fleet`] over a *routed* fleet: every replication
-    /// is built via [`FleetSim::new_routed`], so links share one
-    /// fleet-level arrival stream and each session is routed to one of
-    /// `routing.k` candidate links. Per-link simulation RNG stays
-    /// independent, so the link×seed job list parallelizes exactly like
-    /// the unrouted sweep and results are bit-identical to a sequential
-    /// per-seed run regardless of thread count.
-    pub fn sweep_fleet_routed(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: &RoutingConfig,
-        seeds: &[u64],
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_routed_with(base, specs, design, routing, seeds, EngineBackend::Tick)
-    }
-
-    /// [`Runner::sweep_fleet_routed`] on a selected engine backend.
-    pub fn sweep_fleet_routed_with(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: &RoutingConfig,
-        seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_impl(base, specs, design, Some(routing), seeds, backend)
-    }
-
-    fn sweep_fleet_impl(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: Option<&RoutingConfig>,
-        seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetRun>> {
-        // Plans and per-link seeds are cheap and deterministic; derive
-        // them up front so the parallel phase is pure simulation.
-        let (jobs, per_seed_pairs) = fleet_jobs(base, specs, design, routing, seeds);
-        let link_runs = self.map(&jobs, |job| run_fleet_link_with(job, backend));
-        let mut it = link_runs.into_iter();
-        let runs: Vec<SeedRun<FleetRun>> = seeds
+    /// Job panics propagate; use [`Runner::fleet_summaries`] for
+    /// quarantine.
+    pub fn fleet_runs(&self, sweep: &FleetSweep, seeds: &[u64]) -> Vec<SeedRun<FleetRun>> {
+        let (jobs, per_seed_pairs) = sweep.jobs(seeds);
+        let mut links = self
+            .map(&jobs, |job| run_fleet_link_with(job, sweep.backend))
+            .into_iter();
+        // `FleetSweep::jobs` lays jobs out seed-major, exactly
+        // `specs.len()` per seed.
+        seeds
             .iter()
             .zip(per_seed_pairs)
-            .map(|(&seed, pairs)| {
-                let links: Vec<FleetLinkRun> = it.by_ref().take(specs.len()).collect();
-                assert_eq!(
-                    links.len(),
-                    specs.len(),
-                    "fleet seed {seed}: regrouped {} runs for {} specs",
-                    links.len(),
-                    specs.len()
-                );
-                SeedRun {
-                    seed,
-                    result: FleetRun { links, pairs },
-                }
+            .map(|(&seed, pairs)| SeedRun {
+                seed,
+                result: FleetRun {
+                    links: links.by_ref().take(sweep.specs.len()).collect(),
+                    pairs,
+                },
             })
-            .collect();
-        assert!(it.next().is_none(), "fleet sweep left unconsumed link runs");
-        runs
+            .collect()
     }
 
-    /// [`Runner::sweep_fleet`] with bounded memory: every finished link
+    /// [`Runner::fleet_runs`] with bounded memory: every finished link
     /// job is folded into a mergeable [`FleetSummary`] on the worker
     /// that ran it (via [`Runner::map_fold`]) and its session records
     /// are dropped immediately, so peak memory scales with links ×
@@ -509,47 +424,6 @@ impl Runner {
     /// the work-stealing schedule cannot leak into the output
     /// (`crates/bench/tests/fleet_streaming.rs` asserts the parity
     /// against the record-based oracle).
-    pub fn sweep_fleet_streaming(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-        sketch_cap: usize,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_with(base, specs, design, seeds, sketch_cap, EngineBackend::Tick)
-    }
-
-    /// [`Runner::sweep_fleet_streaming`] on a selected engine backend
-    /// (see [`Runner::sweep_fleet_with`] for the exactness contract).
-    /// Fails fast on any job panic; see
-    /// [`Runner::sweep_fleet_streaming_policy`] for fault injection and
-    /// quarantine.
-    pub fn sweep_fleet_streaming_with(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-        sketch_cap: usize,
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_policy(
-            base,
-            specs,
-            design,
-            seeds,
-            sketch_cap,
-            backend,
-            None,
-            FailurePolicy::FailFast,
-        )
-    }
-
-    /// The fully-general streaming fleet sweep: an optional telemetry
-    /// fault model attached to every link job (see
-    /// [`streamsim::telemetry`]) and a [`FailurePolicy`] for job
-    /// panics.
     ///
     /// Under [`FailurePolicy::Quarantine`], each job runs inside
     /// `catch_unwind`: a panicking link lands in its seed summary's
@@ -562,99 +436,16 @@ impl Runner {
     /// asserts both). Accumulator state is only mutated *after* a job
     /// completes, so a caught panic cannot leave a partially-folded
     /// link behind (`AssertUnwindSafe` is sound here).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_fleet_streaming_policy(
+    pub fn fleet_summaries(
         &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
+        sweep: &FleetSweep,
         seeds: &[u64],
         sketch_cap: usize,
-        backend: EngineBackend,
-        faults: Option<&TelemetryFaults>,
         policy: FailurePolicy,
     ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_impl(
-            base, specs, design, None, seeds, sketch_cap, backend, faults, policy,
-        )
-    }
-
-    /// [`Runner::sweep_fleet_streaming`] over a *routed* fleet (see
-    /// [`Runner::sweep_fleet_routed`]). The same bounded-memory,
-    /// work-stealing bit-identity contract holds: the shared arrival
-    /// stream is materialized deterministically per seed before the
-    /// parallel phase, per-link folds stay wholly within one job, and
-    /// the finalized summaries are bit-identical at any thread count
-    /// (`crates/bench/tests/fleet_routed.rs` asserts 1/2/4 threads).
-    pub fn sweep_fleet_streaming_routed(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: &RoutingConfig,
-        seeds: &[u64],
-        sketch_cap: usize,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_routed_with(
-            base,
-            specs,
-            design,
-            routing,
-            seeds,
-            sketch_cap,
-            EngineBackend::Tick,
-        )
-    }
-
-    /// [`Runner::sweep_fleet_streaming_routed`] on a selected engine
-    /// backend.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_fleet_streaming_routed_with(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: &RoutingConfig,
-        seeds: &[u64],
-        sketch_cap: usize,
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_impl(
-            base,
-            specs,
-            design,
-            Some(routing),
-            seeds,
-            sketch_cap,
-            backend,
-            None,
-            FailurePolicy::FailFast,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_fleet_streaming_impl(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: Option<&RoutingConfig>,
-        seeds: &[u64],
-        sketch_cap: usize,
-        backend: EngineBackend,
-        faults: Option<&TelemetryFaults>,
-        policy: FailurePolicy,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        let per_seed = specs.len();
-        let (mut jobs, per_seed_pairs) = fleet_jobs(base, specs, design, routing, seeds);
-        if let Some(faults) = faults {
-            if let Err(e) = faults.validate() {
-                panic!("sweep_fleet_streaming_policy: invalid faults: {e}");
-            }
-            for job in &mut jobs {
-                job.faults = Some(faults.clone());
-            }
-        }
+        let per_seed = sweep.specs.len();
+        let (jobs, per_seed_pairs) = sweep.jobs(seeds);
+        let run = |job: &FleetLinkJob| run_fleet_link_with(job, sweep.backend);
         let failures = AtomicUsize::new(0);
         let summaries = self.map_fold(
             &jobs,
@@ -665,31 +456,23 @@ impl Runner {
             },
             |acc, idx, job| {
                 // Jobs are laid out seed-major, exactly `per_seed` each
-                // (asserted in `fleet_jobs`).
+                // (asserted in `FleetSweep::jobs`).
                 let slot = idx / per_seed;
-                match policy {
-                    FailurePolicy::FailFast => {
-                        let run = run_fleet_link_with(job, backend);
-                        acc[slot].fold(FleetLinkSummary::from_run(&run, sketch_cap));
-                    }
-                    FailurePolicy::Quarantine { max_failures } => {
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_fleet_link_with(job, backend)
-                            }));
-                        match outcome {
-                            Ok(run) => {
-                                acc[slot].fold(FleetLinkSummary::from_run(&run, sketch_cap));
-                            }
-                            Err(payload) => {
-                                let seen = failures.fetch_add(1, Ordering::Relaxed) + 1;
-                                if seen > max_failures {
-                                    std::panic::resume_unwind(payload);
-                                }
-                                acc[slot].fold_quarantined(job.link, panic_message(&*payload));
-                            }
+                let outcome = match policy {
+                    FailurePolicy::FailFast => Ok(run(job)),
+                    FailurePolicy::Quarantine { max_failures } => std::panic::catch_unwind(
+                        std::panic::AssertUnwindSafe(|| run(job)),
+                    )
+                    .map_err(|payload| {
+                        if failures.fetch_add(1, Ordering::Relaxed) >= max_failures {
+                            std::panic::resume_unwind(payload);
                         }
-                    }
+                        panic_message(&*payload)
+                    }),
+                };
+                match outcome {
+                    Ok(run) => acc[slot].fold(FleetLinkSummary::from_run(&run, sketch_cap)),
+                    Err(message) => acc[slot].fold_quarantined(job.link, message),
                 }
             },
             |acc, partial| {
@@ -720,29 +503,44 @@ impl Runner {
             .collect()
     }
 
-    /// Sweep a single streaming link under `schedule`.
-    pub fn sweep_link(
+    /// [`Runner::fleet_summaries`] over an unrouted fleet with optional
+    /// telemetry faults; a positional forwarder kept for callers that
+    /// predate [`FleetSweep`]. Panics on invalid `faults`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep_fleet_streaming_policy(
         &self,
-        cfg: &StreamConfig,
-        schedule: &AllocationSchedule,
-        link: LinkId,
+        base: &StreamConfig,
+        specs: &[LinkSpec],
+        design: &FleetDesign,
         seeds: &[u64],
-    ) -> Vec<SeedRun<(Vec<SessionRecord>, Vec<HourlyLinkStats>)>> {
-        self.sweep_link_with(cfg, schedule, link, seeds, EngineBackend::Tick)
+        sketch_cap: usize,
+        backend: EngineBackend,
+        faults: Option<&TelemetryFaults>,
+        policy: FailurePolicy,
+    ) -> Vec<SeedRun<FleetSummary>> {
+        let sweep = FleetSweep {
+            faults,
+            backend,
+            ..FleetSweep::new(base, specs, design)
+        };
+        self.fleet_summaries(&sweep, seeds, sketch_cap, policy)
     }
 
-    /// [`Runner::sweep_link`] on a selected engine backend.
-    pub fn sweep_link_with(
+    /// [`Runner::fleet_runs`] over a routed fleet on the tick backend; a
+    /// positional forwarder kept for callers that predate
+    /// [`FleetSweep`]. Panics on an invalid `routing`.
+    pub fn sweep_fleet_routed(
         &self,
-        cfg: &StreamConfig,
-        schedule: &AllocationSchedule,
-        link: LinkId,
+        base: &StreamConfig,
+        specs: &[LinkSpec],
+        design: &FleetDesign,
+        routing: &RoutingConfig,
         seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<(Vec<SessionRecord>, Vec<HourlyLinkStats>)>> {
-        self.sweep(cfg, seeds, |cfg, seed| {
-            LinkSim::new(cfg.clone(), link, schedule.clone(), seed).run_with(backend)
-        })
+    ) -> Vec<SeedRun<FleetRun>> {
+        self.fleet_runs(
+            &FleetSweep::new(base, specs, design).with_routing(routing),
+            seeds,
+        )
     }
 }
 
@@ -750,38 +548,112 @@ impl Runner {
 /// plus per-link hourly statistics.
 pub type PairedBaselineRun = (Vec<SessionRecord>, [Vec<HourlyLinkStats>; 2]);
 
-/// Derive the flat seed-major link×seed job list plus each seed's pair
-/// matching. Both fleet sweeps regroup results by slicing this list in
-/// `specs.len()` strides, so a plan that emitted a different job count
-/// (e.g. a future design sitting out an odd link) would silently
-/// misalign every subsequent seed — assert the invariant per seed here
-/// instead.
-fn fleet_jobs(
-    base: &StreamConfig,
-    specs: &[LinkSpec],
-    design: &FleetDesign,
-    routing: Option<&RoutingConfig>,
-    seeds: &[u64],
-) -> (Vec<FleetLinkJob>, Vec<Vec<(usize, usize)>>) {
-    let mut per_seed_pairs = Vec::with_capacity(seeds.len());
-    let mut jobs: Vec<FleetLinkJob> = Vec::with_capacity(seeds.len() * specs.len());
-    for &seed in seeds {
-        let sim = match routing {
-            None => FleetSim::new(base, specs, design, seed),
-            Some(r) => FleetSim::new_routed(base, specs, design, r, seed),
-        };
-        let (seed_jobs, pairs) = sim.into_parts();
-        assert_eq!(
-            seed_jobs.len(),
-            specs.len(),
-            "fleet seed {seed}: plan emitted {} jobs for {} specs — seed-major regrouping would misalign results",
-            seed_jobs.len(),
-            specs.len()
-        );
-        per_seed_pairs.push(pairs);
-        jobs.extend(seed_jobs);
+/// Everything that defines a fleet sweep except its seeds and its
+/// output: the plant, the design, and the optional routing, telemetry
+/// faults and engine backend. [`Runner::fleet_runs`] keeps every
+/// link's session records; [`Runner::fleet_summaries`] folds them into
+/// bounded-memory summaries.
+///
+/// ```
+/// use repro_bench::{fleet_population, FleetSweep, Runner};
+/// use streamsim::fleet::FleetDesign;
+///
+/// let (base, specs) = fleet_population(2, 1, 7);
+/// let design = FleetDesign::UserLevel { p: 0.5 };
+/// let runs = Runner::new().fleet_runs(&FleetSweep::new(&base, &specs, &design), &[1]);
+/// assert_eq!(runs[0].result.links.len(), 2);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct FleetSweep<'a> {
+    /// Fleet-wide base link configuration.
+    pub base: &'a StreamConfig,
+    /// The sampled links.
+    pub specs: &'a [LinkSpec],
+    /// How treatment is allocated across the fleet.
+    pub design: &'a FleetDesign,
+    /// Shared-arrival routing across links ([`FleetSim::new_routed`]);
+    /// `None` = every link draws its own arrivals.
+    pub routing: Option<&'a RoutingConfig>,
+    /// Telemetry fault model attached to every link
+    /// ([`FleetSim::with_faults`]); `None` = perfect collection.
+    pub faults: Option<&'a TelemetryFaults>,
+    /// Engine backend. Session records — and with them every fleet
+    /// estimator — are bit-identical across backends (see
+    /// `streamsim::engine`), so this is a wall-clock lever, not a
+    /// different experiment.
+    pub backend: EngineBackend,
+}
+
+impl<'a> FleetSweep<'a> {
+    /// An unrouted, fault-free sweep on the tick backend.
+    pub fn new(
+        base: &'a StreamConfig,
+        specs: &'a [LinkSpec],
+        design: &'a FleetDesign,
+    ) -> FleetSweep<'a> {
+        FleetSweep {
+            base,
+            specs,
+            design,
+            routing: None,
+            faults: None,
+            backend: EngineBackend::Tick,
+        }
     }
-    (jobs, per_seed_pairs)
+
+    /// Route sessions across links with `routing`.
+    pub fn with_routing(self, routing: &'a RoutingConfig) -> FleetSweep<'a> {
+        FleetSweep {
+            routing: Some(routing),
+            ..self
+        }
+    }
+
+    /// Attach `faults` to every link's record stream.
+    pub fn with_faults(self, faults: &'a TelemetryFaults) -> FleetSweep<'a> {
+        FleetSweep {
+            faults: Some(faults),
+            ..self
+        }
+    }
+
+    /// Run on `backend`.
+    pub fn with_backend(self, backend: EngineBackend) -> FleetSweep<'a> {
+        FleetSweep { backend, ..self }
+    }
+
+    /// Derive the flat seed-major link×seed job list plus each seed's
+    /// pair matching. Plans and per-link seeds (and, when routed, the
+    /// shared arrival streams) are deterministic per seed, so building
+    /// them up front leaves the parallel phase pure simulation. Both
+    /// entry points regroup results by `specs.len()` strides, so a plan
+    /// that emitted a different job count (e.g. a future design sitting
+    /// out an odd link) would silently misalign every subsequent seed —
+    /// assert the invariant per seed here instead.
+    fn jobs(&self, seeds: &[u64]) -> (Vec<FleetLinkJob>, Vec<Vec<(usize, usize)>>) {
+        let mut per_seed_pairs = Vec::with_capacity(seeds.len());
+        let mut jobs: Vec<FleetLinkJob> = Vec::with_capacity(seeds.len() * self.specs.len());
+        for &seed in seeds {
+            let mut sim = match self.routing {
+                None => FleetSim::new(self.base, self.specs, self.design, seed),
+                Some(r) => FleetSim::new_routed(self.base, self.specs, self.design, r, seed),
+            };
+            if let Some(faults) = self.faults {
+                sim = sim.with_faults(faults);
+            }
+            let (seed_jobs, pairs) = sim.into_parts();
+            assert_eq!(
+                seed_jobs.len(),
+                self.specs.len(),
+                "fleet seed {seed}: plan emitted {} jobs for {} specs — seed-major regrouping would misalign results",
+                seed_jobs.len(),
+                self.specs.len()
+            );
+            per_seed_pairs.push(pairs);
+            jobs.extend(seed_jobs);
+        }
+        (jobs, per_seed_pairs)
+    }
 }
 
 /// Cross-seed summary of one scalar metric: mean across replications
@@ -826,6 +698,8 @@ pub fn metric_across_seeds<R>(runs: &[SeedRun<R>], metric: impl Fn(&R) -> f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamsim::session::LinkId;
+    use streamsim::sim::LinkSim;
 
     #[test]
     fn map_preserves_order() {
@@ -1043,8 +917,12 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let par = Runner::with_threads(4).sweep_link(&cfg, &schedule, LinkId::One, &seeds);
-        let seq = Runner::with_threads(1).sweep_link(&cfg, &schedule, LinkId::One, &seeds);
+        let link = |cfg: &StreamConfig, seed| {
+            LinkSim::new(cfg.clone(), LinkId::One, schedule.clone(), seed)
+                .run_with(EngineBackend::Tick)
+        };
+        let par = Runner::with_threads(4).sweep(&cfg, &seeds, link);
+        let seq = Runner::with_threads(1).sweep(&cfg, &seeds, link);
         assert_eq!(fingerprint(&par), fingerprint(&seq));
     }
 

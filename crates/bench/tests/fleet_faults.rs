@@ -5,7 +5,7 @@
 //! pre-existing panic-propagation semantics at any thread count.
 
 use repro_bench::derive_seeds;
-use repro_bench::runner::{FailurePolicy, Runner};
+use repro_bench::runner::{FailurePolicy, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
 use streamsim::engine::EngineBackend;
 use streamsim::fleet::{run_fleet_link_with, FleetDesign, FleetSim, LinkPopulation, LinkSpec};
@@ -49,14 +49,10 @@ fn quarantined_sweep_is_bit_identical_to_clean_sweep_over_survivors() {
         ..TelemetryFaults::none(7)
     };
 
-    let quarantined = Runner::with_threads(3).sweep_fleet_streaming_policy(
-        &base,
-        &specs,
-        &design,
+    let quarantined = Runner::with_threads(3).fleet_summaries(
+        &FleetSweep::new(&base, &specs, &design).with_faults(&faults),
         &seeds,
         DEFAULT_SKETCH_CAP,
-        EngineBackend::Tick,
-        Some(&faults),
         FailurePolicy::Quarantine { max_failures: 8 },
     );
 
@@ -116,14 +112,10 @@ fn quarantine_results_are_deterministic_across_thread_counts() {
         ..TelemetryFaults::none(13)
     };
     let sweep = |threads: usize| {
-        Runner::with_threads(threads).sweep_fleet_streaming_policy(
-            &base,
-            &specs,
-            &design,
+        Runner::with_threads(threads).fleet_summaries(
+            &FleetSweep::new(&base, &specs, &design).with_faults(&faults),
             &seeds,
             256,
-            EngineBackend::Tick,
-            Some(&faults),
             FailurePolicy::Quarantine { max_failures: 4 },
         )
     };
@@ -151,14 +143,10 @@ fn fail_fast_propagates_panics_at_any_thread_count() {
     };
     for threads in [1usize, 2, 4] {
         let result = std::panic::catch_unwind(|| {
-            Runner::with_threads(threads).sweep_fleet_streaming_policy(
-                &base,
-                &specs,
-                &design,
+            Runner::with_threads(threads).fleet_summaries(
+                &FleetSweep::new(&base, &specs, &design).with_faults(&faults),
                 &[5],
                 64,
-                EngineBackend::Tick,
-                Some(&faults),
                 FailurePolicy::FailFast,
             )
         });
@@ -177,29 +165,22 @@ fn quarantine_budget_exhaustion_propagates() {
         crash_links: vec![0, 2, 4],
         ..TelemetryFaults::none(0)
     };
+    let sweep = FleetSweep::new(&base, &specs, &design).with_faults(&faults);
     let result = std::panic::catch_unwind(|| {
-        Runner::with_threads(2).sweep_fleet_streaming_policy(
-            &base,
-            &specs,
-            &design,
+        Runner::with_threads(2).fleet_summaries(
+            &sweep,
             &[5],
             64,
-            EngineBackend::Tick,
-            Some(&faults),
             FailurePolicy::Quarantine { max_failures: 2 },
         )
     });
     assert!(result.is_err(), "third failure must exceed the budget of 2");
 
     // With budget exactly equal to the failure count, the sweep survives.
-    let ok = Runner::with_threads(2).sweep_fleet_streaming_policy(
-        &base,
-        &specs,
-        &design,
+    let ok = Runner::with_threads(2).fleet_summaries(
+        &sweep,
         &[5],
         64,
-        EngineBackend::Tick,
-        Some(&faults),
         FailurePolicy::Quarantine { max_failures: 3 },
     );
     assert_eq!(ok[0].result.degraded.len(), 3);
@@ -223,14 +204,12 @@ fn faulty_sweeps_agree_across_engine_backends() {
         ..TelemetryFaults::none(3)
     };
     let run = |backend| {
-        Runner::with_threads(2).sweep_fleet_streaming_policy(
-            &base,
-            &specs,
-            &design,
+        Runner::with_threads(2).fleet_summaries(
+            &FleetSweep::new(&base, &specs, &design)
+                .with_faults(&faults)
+                .with_backend(backend),
             &seeds,
             128,
-            backend,
-            Some(&faults),
             FailurePolicy::Quarantine { max_failures: 0 },
         )
     };

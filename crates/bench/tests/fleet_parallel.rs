@@ -2,7 +2,7 @@
 //! must be bit-identical to sequential execution, mirroring
 //! `runner_parallel.rs` for the fleet layer.
 
-use repro_bench::runner::{derive_seeds, Runner};
+use repro_bench::runner::{derive_seeds, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, FleetRun, FleetSim, LinkPopulation};
 
@@ -43,8 +43,9 @@ fn parallel_fleet_sweep_matches_sequential() {
     };
     let seeds = derive_seeds(77, 3);
 
-    let par = Runner::with_threads(4).sweep_fleet(&base, &specs, &design, &seeds);
-    let one = Runner::with_threads(1).sweep_fleet(&base, &specs, &design, &seeds);
+    let sweep = FleetSweep::new(&base, &specs, &design);
+    let par = Runner::with_threads(4).fleet_runs(&sweep, &seeds);
+    let one = Runner::with_threads(1).fleet_runs(&sweep, &seeds);
     // The oracle: plain sequential FleetSim::run per seed, no runner.
     let seq: Vec<(u64, FleetRun)> = seeds
         .iter()
@@ -69,7 +70,10 @@ fn fleet_sweep_carries_pairs_and_covers_every_link() {
         p_hi: 0.95,
         p_lo: 0.05,
     };
-    let runs = Runner::with_threads(3).sweep_fleet(&base, &specs, &design, &derive_seeds(9, 2));
+    let runs = Runner::with_threads(3).fleet_runs(
+        &FleetSweep::new(&base, &specs, &design),
+        &derive_seeds(9, 2),
+    );
     for r in &runs {
         assert_eq!(r.result.links.len(), 6);
         assert_eq!(r.result.pairs.len(), 3);
