@@ -161,13 +161,18 @@ impl DumbbellConfig {
     }
 
     /// Validate all fields.
+    ///
+    /// Rates, multiples and buffer sizes must be finite. A paced app's
+    /// `pacing_ca_factor` must be finite and positive: a zero or NaN
+    /// pacing rate would otherwise be clamped to 1 bit/s and silently
+    /// stall the flow.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.bottleneck_bps.is_nan() || self.bottleneck_bps <= 0.0 {
+        if !self.bottleneck_bps.is_finite() || self.bottleneck_bps <= 0.0 {
             return Err(ConfigError::OutOfRange {
                 field: "bottleneck_bps",
             });
         }
-        if self.access_multiple.is_nan() || self.access_multiple < 1.0 {
+        if !self.access_multiple.is_finite() || self.access_multiple < 1.0 {
             return Err(ConfigError::OutOfRange {
                 field: "access_multiple",
             });
@@ -180,7 +185,7 @@ impl DumbbellConfig {
                 field: "rtt_jitter",
             });
         }
-        if self.buffer_bdp.is_nan() || self.buffer_bdp <= 0.0 {
+        if !self.buffer_bdp.is_finite() || self.buffer_bdp <= 0.0 {
             return Err(ConfigError::OutOfRange {
                 field: "buffer_bdp",
             });
@@ -190,6 +195,14 @@ impl DumbbellConfig {
         }
         if self.apps.is_empty() || self.apps.iter().any(|a| a.connections == 0) {
             return Err(ConfigError::NoTraffic);
+        }
+        let bad_pacing = |a: &AppConfig| {
+            a.paced && !(a.pacing_ca_factor.is_finite() && a.pacing_ca_factor > 0.0)
+        };
+        if self.apps.iter().any(bad_pacing) {
+            return Err(ConfigError::OutOfRange {
+                field: "pacing_ca_factor",
+            });
         }
         if self.duration <= self.warmup {
             return Err(ConfigError::OutOfRange { field: "duration" });
@@ -268,6 +281,43 @@ mod tests {
         let mut c = valid();
         c.access_multiple = 0.5;
         assert!(c.validate().is_err());
+    }
+
+    fn out_of_range(field: &'static str) -> Result<(), ConfigError> {
+        Err(ConfigError::OutOfRange { field })
+    }
+
+    #[test]
+    fn rejects_infinite_bottleneck_rate() {
+        let mut c = valid();
+        c.bottleneck_bps = f64::INFINITY;
+        assert_eq!(c.validate(), out_of_range("bottleneck_bps"));
+    }
+
+    #[test]
+    fn rejects_infinite_access_multiple() {
+        let mut c = valid();
+        c.access_multiple = f64::INFINITY;
+        assert_eq!(c.validate(), out_of_range("access_multiple"));
+    }
+
+    #[test]
+    fn rejects_infinite_buffer() {
+        let mut c = valid();
+        c.buffer_bdp = f64::INFINITY;
+        assert_eq!(c.validate(), out_of_range("buffer_bdp"));
+    }
+
+    #[test]
+    fn rejects_unusable_pacing_factor_on_paced_apps() {
+        for factor in [0.0, -1.2, f64::NAN, f64::INFINITY] {
+            let mut c = valid();
+            c.apps.push(AppConfig::paced(CcKind::Cubic, factor));
+            assert_eq!(c.validate(), out_of_range("pacing_ca_factor"), "{factor}");
+            // An unpaced app never uses its factor.
+            c.apps[1].paced = false;
+            assert_eq!(c.validate(), Ok(()), "{factor}");
+        }
     }
 
     #[test]

@@ -81,6 +81,9 @@ pub struct Network {
     pace_pending: Vec<bool>,
     ack_flush_pending: Vec<bool>,
     loss_rng: SimRng,
+    /// Packets a sender just released, on their way to the access link
+    /// (kept across events so sending never allocates).
+    outbox: Vec<Packet>,
     /// Queue stats snapshot taken at warm-up.
     pub warmup_queue_stats: Option<QueueStats>,
     /// Per-flow counter snapshots at warm-up.
@@ -134,6 +137,7 @@ impl Network {
             pace_pending: vec![false; n],
             ack_flush_pending: vec![false; n],
             loss_rng,
+            outbox: Vec::new(),
             warmup_queue_stats: None,
             warmup_counters: None,
         }
@@ -154,10 +158,9 @@ impl Network {
         self.bottleneck_q.stats()
     }
 
-    fn emit(&mut self, pkts: Vec<Packet>, sched: &mut Scheduler<Event>) {
-        for pkt in pkts {
-            self.access.queue.push_back(pkt);
-        }
+    /// Move the outbox onto the access link.
+    fn emit(&mut self, sched: &mut Scheduler<Event>) {
+        self.access.queue.extend(self.outbox.drain(..));
         self.kick_access(sched);
     }
 
@@ -204,8 +207,8 @@ impl Model for Network {
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match event {
             Event::FlowStart(flow) => {
-                let pkts = self.senders[flow.0].start(now);
-                self.emit(pkts, sched);
+                self.senders[flow.0].start(now, &mut self.outbox);
+                self.emit(sched);
                 self.arm_flow_timers(flow, sched);
             }
             Event::AccessDone => {
@@ -260,14 +263,14 @@ impl Model for Network {
             }
             Event::SenderAck(ack) => {
                 let flow = ack.flow;
-                let pkts = self.senders[flow.0].on_ack(now, ack);
-                self.emit(pkts, sched);
+                self.senders[flow.0].on_ack(now, ack, &mut self.outbox);
+                self.emit(sched);
                 self.arm_flow_timers(flow, sched);
             }
             Event::PaceTimer(flow) => {
                 self.pace_pending[flow.0] = false;
-                let pkts = self.senders[flow.0].on_pace_timer(now);
-                self.emit(pkts, sched);
+                self.senders[flow.0].on_pace_timer(now, &mut self.outbox);
+                self.emit(sched);
                 self.arm_flow_timers(flow, sched);
             }
             Event::RtoTimer(flow) => {
@@ -280,8 +283,8 @@ impl Model for Network {
                         sched.at(d, Event::RtoTimer(flow));
                     }
                     Some(_) => {
-                        let pkts = self.senders[flow.0].on_rto_fire(now);
-                        self.emit(pkts, sched);
+                        self.senders[flow.0].on_rto_fire(now, &mut self.outbox);
+                        self.emit(sched);
                         self.arm_flow_timers(flow, sched);
                     }
                 }

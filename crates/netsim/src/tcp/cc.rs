@@ -1,7 +1,13 @@
 //! The congestion-control interface and shared helpers.
+//!
+//! [`WindowedMax`] is BBR's bottleneck-bandwidth filter. BBR reads it on
+//! every ACK and on every pass of the send loop, so it is a monotone
+//! deque: `update` and `max` cost O(1) amortized instead of a scan over
+//! every sample in the window.
 
 use crate::config::CcKind;
 use dessim::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Everything a congestion controller may want to know about an ACK.
 #[derive(Debug, Clone, Copy)]
@@ -68,9 +74,18 @@ pub fn build_cc(kind: CcKind, initial_cwnd: f64, mss_bytes: u32) -> Box<dyn Cong
 
 /// A max filter over a sliding window of "rounds" (used by BBR's
 /// bottleneck-bandwidth estimator).
+///
+/// A monotone deque: rounds ascend and values strictly descend from front
+/// to back. A sample that is no larger than a newer one can never be the
+/// windowed max again (the newer sample outlives it), so `update` drops it
+/// from the back; expired samples leave from the front. `max` is then the
+/// first unexpired entry, the same `f64` a scan over every sample in the
+/// window returns. Both are O(1) amortized, against O(window) for the
+/// scan. Requires nondecreasing rounds across `update` calls and
+/// non-NaN values.
 #[derive(Debug, Clone, Default)]
 pub struct WindowedMax {
-    entries: Vec<(u64, f64)>,
+    entries: VecDeque<(u64, f64)>,
     window: u64,
 }
 
@@ -78,30 +93,89 @@ impl WindowedMax {
     /// Filter keeping the max over the last `window` rounds.
     pub fn new(window: u64) -> WindowedMax {
         WindowedMax {
-            entries: Vec::new(),
+            entries: VecDeque::new(),
             window,
         }
     }
 
     /// Insert a sample observed in `round`.
     pub fn update(&mut self, round: u64, value: f64) {
-        self.entries.retain(|&(r, _)| r + self.window > round);
-        self.entries.push((round, value));
+        debug_assert!(self.entries.back().is_none_or(|&(r, _)| r <= round));
+        while self
+            .entries
+            .front()
+            .is_some_and(|&(r, _)| r + self.window <= round)
+        {
+            self.entries.pop_front();
+        }
+        while self.entries.back().is_some_and(|&(_, v)| v <= value) {
+            self.entries.pop_back();
+        }
+        self.entries.push_back((round, value));
     }
 
     /// Current windowed max given the current round.
     pub fn max(&self, current_round: u64) -> Option<f64> {
         self.entries
             .iter()
-            .filter(|&&(r, _)| r + self.window > current_round)
+            .find(|&&(r, _)| r + self.window > current_round)
             .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original linear-scan filter, kept as the reference model.
+    struct ScanWindowedMax {
+        entries: Vec<(u64, f64)>,
+        window: u64,
+    }
+
+    impl ScanWindowedMax {
+        fn update(&mut self, round: u64, value: f64) {
+            self.entries.retain(|&(r, _)| r + self.window > round);
+            self.entries.push((round, value));
+        }
+
+        fn max(&self, current_round: u64) -> Option<f64> {
+            self.entries
+                .iter()
+                .filter(|&&(r, _)| r + self.window > current_round)
+                .map(|&(_, v)| v)
+                .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every update the deque returns the scan's `max`, bit for
+        /// bit, at the update's round and at later query rounds. Rounds
+        /// never decrease and values are positive, as in BBR.
+        #[test]
+        fn windowed_max_matches_scan(
+            window in 1u64..12,
+            steps in prop::collection::vec((0u64..3, 0u64..16, 1e3f64..1e9), 1..200),
+        ) {
+            let mut fast = WindowedMax::new(window);
+            let mut scan = ScanWindowedMax { entries: Vec::new(), window };
+            let mut round = 0;
+            for (advance, look_ahead, value) in steps {
+                round += advance;
+                // Coarse values make ties (and dominated samples) common.
+                let value = (value / 1e8).ceil() * 1e8;
+                fast.update(round, value);
+                scan.update(round, value);
+                for q in [round, round + look_ahead] {
+                    let (a, b) = (fast.max(q), scan.max(q));
+                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "round {}", q);
+                }
+            }
+        }
+    }
 
     #[test]
     fn factory_builds_each_kind() {

@@ -15,6 +15,7 @@ pub mod pacing;
 pub mod receiver;
 pub mod reno;
 pub mod rtt;
+mod scoreboard;
 pub mod sender;
 
 pub use cc::{AckEvent, CongestionControl};

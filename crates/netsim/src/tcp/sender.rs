@@ -7,15 +7,36 @@
 //! (the sequence-based approximation of "three duplicate ACKs"). Lost
 //! segments are queued for retransmission; the send loop services the
 //! retransmission queue before new data, gated by `pipe < cwnd`.
+//!
+//! Per-segment state is kept so that an ACK costs O(1) amortized, not
+//! O(window):
+//!
+//! * send-time metadata sits in a ring indexed by `seq − high_ack`, and a
+//!   cumulative ACK drains it from the front;
+//! * the SACKed set is a circular bitmap with a count and the highest
+//!   SACKed sequence (`scoreboard::SackBitmap`): a SACK block costs one
+//!   word per 64 segments plus the bits it newly sets, and pruning below
+//!   a new cumulative ACK clears whole words;
+//! * retransmissions wait for the lost-retransmission check in a FIFO in
+//!   send order (`scoreboard::RetxFifo`), so the check pops an expired
+//!   prefix instead of scanning every retransmission in flight;
+//! * the retransmission queue stays a `BTreeSet` (it is small, and
+//!   smallest-first order matters);
+//! * packets to send are appended to a buffer the caller owns (the
+//!   network keeps one across events) instead of a fresh `Vec` per call.
+//!
+//! Each sequence is scanned once for loss marking (`loss_scan_frontier`);
+//! only an RTO walks the whole window.
 
 use super::cc::{build_cc, AckEvent, CongestionControl};
 use super::pacing::{cwnd_pacing_rate_bps, Pacer, LINUX_SS_FACTOR};
 use super::rtt::RttEstimator;
+use super::scoreboard::{RetxFifo, SackBitmap};
 use crate::config::CcKind;
 use crate::metrics::FlowCounters;
 use crate::packet::{Ack, AppId, FlowId, Packet};
 use dessim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Segment-gap threshold for deeming a segment lost (mirrors the
 /// classic three-duplicate-ACK rule).
@@ -52,14 +73,16 @@ pub struct Sender {
     high_ack: u64,
     max_sent_seq: u64,
 
-    /// SACKed segments above `high_ack`.
-    sacked: BTreeSet<u64>,
+    /// SACKed segments above `high_ack` (the bitmap's base).
+    sacked: SackBitmap,
     /// Segments deemed lost and awaiting retransmission.
     retx_queue: BTreeSet<u64>,
-    /// Retransmitted segments not yet (S)ACKed, with retransmission time.
-    /// Used to detect *lost retransmissions* (RACK-style reordering
-    /// window), without which a dropped retransmission stalls until RTO.
-    retx_inflight: BTreeMap<u64, SimTime>,
+    /// Retransmitted segments with their retransmission time, in send
+    /// order. An entry is live while its segment is at or above
+    /// `high_ack` and unSACKed. Used to detect *lost retransmissions*
+    /// (RACK-style reordering window), without which a dropped
+    /// retransmission stalls until RTO.
+    retx_inflight: RetxFifo,
     /// Highest sequence already scanned for loss marking.
     loss_scan_frontier: u64,
     /// While `Some(p)`, in fast recovery until `high_ack >= p`.
@@ -83,7 +106,10 @@ pub struct Sender {
     delivered_time: SimTime,
     /// Send time of the packet that started the current send window.
     first_sent_time: SimTime,
-    meta: HashMap<u64, PktMeta>,
+    /// Metadata of the last transmission of each segment, at index
+    /// `seq − high_ack` (shorter than the window when its tail was never
+    /// sent, e.g. after a stale ACK moved the send point).
+    meta: VecDeque<Option<PktMeta>>,
 
     /// Measurement counters (public: the harness snapshots them).
     pub counters: FlowCounters,
@@ -126,9 +152,9 @@ impl Sender {
             next_seq: 0,
             high_ack: 0,
             max_sent_seq: 0,
-            sacked: BTreeSet::new(),
+            sacked: SackBitmap::default(),
             retx_queue: BTreeSet::new(),
-            retx_inflight: BTreeMap::new(),
+            retx_inflight: RetxFifo::default(),
             loss_scan_frontier: 0,
             recovery_point: None,
             cc: build_cc(cc_kind, INITIAL_CWND, mss),
@@ -142,7 +168,7 @@ impl Sender {
             delivered_rate_ctr: 0,
             delivered_time: SimTime::ZERO,
             first_sent_time: SimTime::ZERO,
-            meta: HashMap::new(),
+            meta: VecDeque::new(),
             counters: FlowCounters::default(),
         }
     }
@@ -169,7 +195,7 @@ impl Sender {
 
     /// RFC 6675 pipe estimate: segments believed to be in the network.
     pub fn pipe(&self) -> u64 {
-        self.outstanding() - self.sacked.len() as u64 - self.retx_queue.len() as u64
+        self.outstanding() - self.sacked.len() - self.retx_queue.len() as u64
     }
 
     /// Congestion window in segments.
@@ -231,16 +257,17 @@ impl Sender {
         if is_retx {
             self.counters.segs_retx += 1;
         }
-        self.meta.insert(
-            seq,
-            PktMeta {
-                sent_at: now,
-                delivered_at_send: self.delivered_rate_ctr,
-                delivered_time_at_send: self.delivered_time,
-                first_sent_at_send: self.first_sent_time,
-                is_retx,
-            },
-        );
+        let idx = (seq - self.high_ack) as usize;
+        if idx >= self.meta.len() {
+            self.meta.resize(idx + 1, None);
+        }
+        self.meta[idx] = Some(PktMeta {
+            sent_at: now,
+            delivered_at_send: self.delivered_rate_ctr,
+            delivered_time_at_send: self.delivered_time,
+            first_sent_at_send: self.first_sent_time,
+            is_retx,
+        });
         self.first_sent_time = now;
         if let Some(rate) = self.pacing_rate_bps() {
             self.pacer.on_send(now, self.mss, rate);
@@ -269,9 +296,8 @@ impl Sender {
                 break;
             }
             // Retransmissions take priority over new data (RFC 6675).
-            if let Some(&seq) = self.retx_queue.iter().next() {
-                self.retx_queue.remove(&seq);
-                self.retx_inflight.insert(seq, now);
+            if let Some(seq) = self.retx_queue.pop_first() {
+                self.retx_inflight.push(seq, now);
                 out.push(self.transmit(now, seq));
             } else {
                 let seq = self.next_seq;
@@ -286,21 +312,20 @@ impl Sender {
         for block in ack.sacks.iter().flatten() {
             let start = block.start.max(self.high_ack);
             let end = block.end.min(self.next_seq);
-            for q in start..end {
-                if self.sacked.insert(q) {
-                    self.delivered_rate_ctr += 1;
-                    self.retx_queue.remove(&q);
-                    self.retx_inflight.remove(&q);
-                }
-            }
+            // A newly SACKed segment also leaves the retransmission
+            // queue; its `retx_inflight` entry (if any) is now dead.
+            self.sacked.insert_range(start, end, |q| {
+                self.delivered_rate_ctr += 1;
+                self.retx_queue.remove(&q);
+            });
         }
         // Loss marking: unSACKed segments sufficiently below the highest
         // SACKed sequence are lost. Scan each sequence once.
-        if let Some(&high_sacked) = self.sacked.iter().next_back() {
+        if let Some(high_sacked) = self.sacked.highest() {
             let limit = high_sacked.saturating_sub(DUP_ACK_THRESHOLD - 1);
             let from = self.loss_scan_frontier.max(self.high_ack);
             for s in from..limit {
-                if !self.sacked.contains(&s) {
+                if !self.sacked.contains(s) {
                     self.retx_queue.insert(s);
                 }
             }
@@ -312,40 +337,34 @@ impl Sender {
     /// retransmitted segment is still unSACKed one reordering window
     /// (1.25 × sRTT) after it was retransmitted, queue it again.
     fn check_lost_retransmissions(&mut self, now: SimTime) {
-        if self.retx_inflight.is_empty() {
-            return;
-        }
         let reo_wnd = self.srtt().mul_f64(1.25);
-        let mut expired = Vec::new();
-        for (&seq, &sent) in &self.retx_inflight {
-            if now.since(sent.min(now)) > reo_wnd {
-                expired.push(seq);
-            }
-        }
-        for seq in expired {
-            self.retx_inflight.remove(&seq);
-            self.retx_queue.insert(seq);
-        }
+        let (high_ack, sacked) = (self.high_ack, &self.sacked);
+        self.retx_inflight.drain_expired(
+            now,
+            reo_wnd,
+            |seq| seq >= high_ack && !sacked.contains(seq),
+            |seq| {
+                self.retx_queue.insert(seq);
+            },
+        );
     }
 
     /// Kick off the connection (initial window burst or paced trickle).
-    pub fn start(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.try_send(now, &mut out);
-        out
+    /// Packets to transmit are appended to `out`.
+    pub fn start(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        self.try_send(now, out);
     }
 
     /// The pace timer fired: release whatever the window now allows.
-    pub fn on_pace_timer(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.try_send(now, &mut out);
-        out
+    /// Packets to transmit are appended to `out`.
+    pub fn on_pace_timer(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        self.try_send(now, out);
     }
 
-    /// Process an incoming cumulative ACK. Returns packets to transmit.
-    pub fn on_ack(&mut self, now: SimTime, ack: Ack) -> Vec<Packet> {
+    /// Process an incoming cumulative ACK. Packets to transmit are
+    /// appended to `out`.
+    pub fn on_ack(&mut self, now: SimTime, ack: Ack, out: &mut Vec<Packet>) {
         debug_assert_eq!(ack.flow, self.flow);
-        let mut out = Vec::new();
 
         let mut newly = 0u64;
         let mut rtt_sample = None;
@@ -367,10 +386,13 @@ impl Sender {
             // Delivery-rate sample from the triggering segment's metadata.
             self.delivered += newly;
             self.counters.segs_delivered += newly;
-            // Count only the segments not already credited via SACK.
-            let sacked_in_range = self.sacked.range(self.high_ack..ack.cum_ack).count() as u64;
+            // Count only the segments not already credited via SACK (and
+            // prune the scoreboard below the new cumulative point).
+            let sacked_in_range = self.sacked.advance(ack.cum_ack);
             self.delivered_rate_ctr += newly - sacked_in_range;
-            rate_sample = self.meta.get(&ack.for_seq).and_then(|m| {
+            let for_idx = ack.for_seq.checked_sub(self.high_ack);
+            let for_meta = for_idx.and_then(|i| self.meta.get(i as usize).copied().flatten());
+            rate_sample = for_meta.and_then(|m| {
                 if m.is_retx {
                     return None;
                 }
@@ -386,16 +408,15 @@ impl Sender {
                 Some(delivered_delta as f64 * self.mss as f64 * 8.0 / interval)
             });
             self.delivered_time = now;
-            for s in self.high_ack..ack.cum_ack {
-                self.meta.remove(&s);
-            }
+            self.meta.drain(..self.meta.len().min(newly as usize));
             self.high_ack = ack.cum_ack;
             self.rto_backoff = 0;
 
-            // Prune scoreboard below the new cumulative point.
-            self.sacked = self.sacked.split_off(&self.high_ack);
-            self.retx_queue = self.retx_queue.split_off(&self.high_ack);
-            self.retx_inflight = self.retx_inflight.split_off(&self.high_ack);
+            // Prune the retransmission queue below the new cumulative
+            // point (`retx_inflight` entries there are dead).
+            while self.retx_queue.first().is_some_and(|&q| q < self.high_ack) {
+                self.retx_queue.pop_first();
+            }
             self.loss_scan_frontier = self.loss_scan_frontier.max(self.high_ack);
 
             if let Some(rp) = self.recovery_point {
@@ -413,14 +434,13 @@ impl Sender {
             self.recovery_point = Some(self.next_seq);
             // Halve from the flight size (outstanding minus SACKed), the
             // quantity that was actually in the network at detection.
-            let flight = self.outstanding() - self.sacked.len() as u64;
+            let flight = self.outstanding() - self.sacked.len();
             self.cc.on_loss_event(now, flight.max(1));
             self.counters.loss_events += 1;
             // Fast retransmit: the first lost segment goes out immediately,
             // bypassing the pipe gate (this *is* the fast retransmission).
-            if let Some(&seq) = self.retx_queue.iter().next() {
-                self.retx_queue.remove(&seq);
-                self.retx_inflight.insert(seq, now);
+            if let Some(seq) = self.retx_queue.pop_first() {
+                self.retx_inflight.push(seq, now);
                 out.push(self.transmit(now, seq));
             }
         }
@@ -445,20 +465,30 @@ impl Sender {
             }
         }
 
-        self.try_send(now, &mut out);
-        out
+        self.try_send(now, out);
+        self.debug_check();
+    }
+
+    /// The ring invariants: every per-segment structure is based at
+    /// `high_ack` and covers at most the outstanding window.
+    fn debug_check(&self) {
+        debug_assert_eq!(self.sacked.base(), self.high_ack);
+        debug_assert!(self.meta.len() as u64 <= self.outstanding());
+        debug_assert!(self.sacked.highest().is_none_or(|h| h < self.next_seq));
+        self.sacked.debug_check();
     }
 
     /// The (lazily scheduled) RTO timer fired. Checks the live deadline;
     /// on a real expiry performs go-back-N and slow-start restart.
-    pub fn on_rto_fire(&mut self, now: SimTime) -> Vec<Packet> {
+    /// Packets to transmit are appended to `out`.
+    pub fn on_rto_fire(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         match self.rto_deadline {
             Some(d) if d <= now => {}
-            _ => return Vec::new(),
+            _ => return,
         }
         if self.outstanding() == 0 {
             self.rto_deadline = None;
-            return Vec::new();
+            return;
         }
         self.counters.rtos += 1;
         self.cc.on_rto(now);
@@ -469,16 +499,14 @@ impl Sender {
         self.recovery_point = Some(self.next_seq);
         self.retx_inflight.clear();
         for seq in self.high_ack..self.next_seq {
-            if !self.sacked.contains(&seq) {
+            if !self.sacked.contains(seq) {
                 self.retx_queue.insert(seq);
             }
         }
         self.loss_scan_frontier = self.next_seq;
         self.rto_backoff = (self.rto_backoff + 1).min(MAX_BACKOFF);
         self.rto_deadline = None;
-        let mut out = Vec::new();
-        self.try_send(now, &mut out);
-        out
+        self.try_send(now, out);
     }
 }
 
@@ -498,6 +526,13 @@ mod tests {
             SimDuration::from_millis(20),
             SimDuration::from_millis(200),
         )
+    }
+
+    /// Collect the packets one sender call releases.
+    fn sent(f: impl FnOnce(&mut Vec<Packet>)) -> Vec<Packet> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
     }
 
     fn no_sacks() -> [Option<SackBlock>; MAX_SACK_BLOCKS] {
@@ -530,7 +565,7 @@ mod tests {
     #[test]
     fn initial_window_burst() {
         let mut s = sender(CcKind::Reno, false);
-        let pkts = s.start(SimTime::ZERO);
+        let pkts = sent(|o| s.start(SimTime::ZERO, o));
         assert_eq!(pkts.len(), 10); // IW10
         assert_eq!(s.outstanding(), 10);
         assert_eq!(s.pipe(), 10);
@@ -544,11 +579,11 @@ mod tests {
     #[test]
     fn paced_start_releases_one_packet() {
         let mut s = sender(CcKind::Reno, true);
-        let pkts = s.start(SimTime::ZERO);
+        let pkts = sent(|o| s.start(SimTime::ZERO, o));
         assert_eq!(pkts.len(), 1, "pacer releases one packet, then blocks");
         assert!(s.pace_wake().is_some());
         let wake = s.pace_wake().unwrap();
-        let pkts = s.on_pace_timer(wake);
+        let pkts = sent(|o| s.on_pace_timer(wake, o));
         assert_eq!(pkts.len(), 1);
     }
 
@@ -556,9 +591,9 @@ mod tests {
     fn acks_advance_window_and_grow_cwnd() {
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0);
+        s.start(t0, &mut Vec::new());
         let t1 = t0 + SimDuration::from_millis(20);
-        let sent = s.on_ack(t1, ack(1, 0, t0));
+        let sent = sent(|o| s.on_ack(t1, ack(1, 0, t0), o));
         // Slow start: one ACK frees one slot and grows cwnd by 1 => 2 sends.
         assert_eq!(sent.len(), 2);
         assert_eq!(s.counters.segs_delivered, 1);
@@ -569,14 +604,14 @@ mod tests {
     fn sack_gap_triggers_fast_retransmit() {
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0); // 0..10 in flight
+        s.start(t0, &mut Vec::new()); // 0..10 in flight
         let t = t0 + SimDuration::from_millis(25);
         // Seq 0 lost. SACKs for 1..2, then 1..3, then 1..4 arrive.
         assert!(!s.in_recovery());
-        s.on_ack(t, sack_ack(0, 1, 2));
-        s.on_ack(t, sack_ack(0, 1, 3));
+        s.on_ack(t, sack_ack(0, 1, 2), &mut Vec::new());
+        s.on_ack(t, sack_ack(0, 1, 3), &mut Vec::new());
         assert!(!s.in_recovery(), "gap below threshold");
-        let pkts = s.on_ack(t, sack_ack(0, 1, 4));
+        let pkts = sent(|o| s.on_ack(t, sack_ack(0, 1, 4), o));
         // Highest sacked = 3 >= 0 + 3 => seq 0 deemed lost and retransmitted.
         assert!(s.in_recovery());
         assert!(
@@ -590,14 +625,14 @@ mod tests {
     fn recovery_exits_on_full_ack_and_sending_resumes() {
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0);
+        s.start(t0, &mut Vec::new());
         let t = t0 + SimDuration::from_millis(25);
-        s.on_ack(t, sack_ack(0, 1, 4));
+        s.on_ack(t, sack_ack(0, 1, 4), &mut Vec::new());
         assert!(s.in_recovery());
         // Full cumulative ACK of everything sent so far.
         let t2 = t + SimDuration::from_millis(25);
         let high = s.next_seq;
-        let pkts = s.on_ack(t2, ack(high, high - 1, t0));
+        let pkts = sent(|o| s.on_ack(t2, ack(high, high - 1, t0), o));
         assert!(!s.in_recovery());
         // Bulk sender resumes with new data.
         assert!(pkts.iter().all(|p| p.seq >= high));
@@ -608,10 +643,10 @@ mod tests {
     fn multiple_holes_all_retransmitted() {
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0); // 0..10
+        s.start(t0, &mut Vec::new()); // 0..10
         let t = t0 + SimDuration::from_millis(25);
         // Holes at 0,1,2; 3..10 sacked.
-        let pkts = s.on_ack(t, sack_ack(0, 3, 10));
+        let pkts = sent(|o| s.on_ack(t, sack_ack(0, 3, 10), o));
         let retx: Vec<u64> = pkts.iter().filter(|p| p.is_retx).map(|p| p.seq).collect();
         // The first hole is fast-retransmitted immediately; the others are
         // either sent now (pipe permitting) or queued for retransmission.
@@ -627,7 +662,7 @@ mod tests {
         assert_eq!(s.counters.loss_events, 1);
         // Follow-up ACK progress releases the remaining holes.
         let t2 = t + SimDuration::from_millis(5);
-        let pkts2 = s.on_ack(t2, ack(1, 0, t0));
+        let pkts2 = sent(|o| s.on_ack(t2, ack(1, 0, t0), o));
         let all_retx: Vec<u64> = retx
             .into_iter()
             .chain(pkts2.iter().filter(|p| p.is_retx).map(|p| p.seq))
@@ -641,12 +676,12 @@ mod tests {
     #[test]
     fn pipe_accounts_for_sacked_and_lost() {
         let mut s = sender(CcKind::Reno, false);
-        s.start(SimTime::ZERO);
+        s.start(SimTime::ZERO, &mut Vec::new());
         assert_eq!(s.pipe(), 10);
         let t = SimTime::ZERO + SimDuration::from_millis(25);
         // SACK 5..10 => 5 sacked; seqs 0..5 below 9-2 => lost.
         // (retransmissions go out immediately, so pipe partially refills)
-        let pkts = s.on_ack(t, sack_ack(0, 5, 10));
+        let pkts = sent(|o| s.on_ack(t, sack_ack(0, 5, 10), o));
         let retx_count = pkts.iter().filter(|p| p.is_retx).count() as u64;
         // outstanding = 10 (+ maybe new data), sacked = 5.
         assert!(s.pipe() <= s.outstanding() - 5 + retx_count);
@@ -656,9 +691,9 @@ mod tests {
     fn rto_marks_all_outstanding_lost() {
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0); // 0..10 in flight
+        s.start(t0, &mut Vec::new()); // 0..10 in flight
         let deadline = s.rto_deadline().unwrap();
-        let pkts = s.on_rto_fire(deadline);
+        let pkts = sent(|o| s.on_rto_fire(deadline, o));
         assert_eq!(s.counters.rtos, 1);
         // cwnd collapsed to 1 → exactly one retransmission, of the head.
         assert_eq!(pkts.len(), 1);
@@ -675,18 +710,18 @@ mod tests {
     #[test]
     fn rto_fire_before_deadline_is_noop() {
         let mut s = sender(CcKind::Reno, false);
-        s.start(SimTime::ZERO);
+        s.start(SimTime::ZERO, &mut Vec::new());
         let early = SimTime::from_nanos(1);
-        assert!(s.on_rto_fire(early).is_empty());
+        assert!(sent(|o| s.on_rto_fire(early, o)).is_empty());
         assert_eq!(s.counters.rtos, 0);
     }
 
     #[test]
     fn rto_backoff_doubles_deadline() {
         let mut s = sender(CcKind::Reno, false);
-        s.start(SimTime::ZERO);
+        s.start(SimTime::ZERO, &mut Vec::new());
         let d1 = s.rto_deadline().unwrap();
-        s.on_rto_fire(d1);
+        s.on_rto_fire(d1, &mut Vec::new());
         let d2 = s.rto_deadline().unwrap();
         let gap1 = d1.since(SimTime::ZERO).as_secs_f64();
         let gap2 = d2.since(d1).as_secs_f64();
@@ -700,12 +735,12 @@ mod tests {
     fn stale_ack_after_go_back_n_does_not_corrupt_state() {
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0); // 0..10 in flight
+        s.start(t0, &mut Vec::new()); // 0..10 in flight
         let deadline = s.rto_deadline().unwrap();
-        s.on_rto_fire(deadline); // next_seq rolled back to 0, resends seq 0
-                                 // A stale ACK for the pre-RTO flight arrives late.
+        s.on_rto_fire(deadline, &mut Vec::new()); // next_seq rolled back to 0, resends seq 0
+                                                  // A stale ACK for the pre-RTO flight arrives late.
         let t = deadline + SimDuration::from_millis(5);
-        s.on_ack(t, ack(7, 6, t0));
+        s.on_ack(t, ack(7, 6, t0), &mut Vec::new());
         // The send point must never lag the cumulative ACK.
         assert!(s.next_seq >= s.high_ack);
         assert_eq!(s.high_ack, 7);
@@ -717,11 +752,11 @@ mod tests {
     fn delivery_counter_monotone() {
         let mut s = sender(CcKind::Cubic, false);
         let t0 = SimTime::ZERO;
-        s.start(t0);
+        s.start(t0, &mut Vec::new());
         let mut t = t0;
         for i in 0..10u64 {
             t += SimDuration::from_millis(2);
-            s.on_ack(t, ack(i + 1, i, t0));
+            s.on_ack(t, ack(i + 1, i, t0), &mut Vec::new());
         }
         assert_eq!(s.counters.segs_delivered, 10);
         assert_eq!(s.outstanding() + 10, s.next_seq);
@@ -730,7 +765,7 @@ mod tests {
     #[test]
     fn bbr_sender_is_always_paced() {
         let mut s = sender(CcKind::Bbr, false);
-        let pkts = s.start(SimTime::ZERO);
+        let pkts = sent(|o| s.start(SimTime::ZERO, o));
         // BBR paces from the very first packet.
         assert_eq!(pkts.len(), 1);
         assert!(s.pace_wake().is_some());
@@ -740,9 +775,9 @@ mod tests {
     fn stale_ack_ignored() {
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0);
+        s.start(t0, &mut Vec::new());
         let t1 = t0 + SimDuration::from_millis(20);
-        s.on_ack(t1, ack(5, 4, t0));
+        s.on_ack(t1, ack(5, 4, t0), &mut Vec::new());
         let before = s.counters.segs_delivered;
         s.on_ack(
             t1,
@@ -753,6 +788,7 @@ mod tests {
                 sacks: no_sacks(),
                 echo_sent_at: None,
             },
+            &mut Vec::new(),
         );
         assert_eq!(s.counters.segs_delivered, before);
         assert_eq!(s.high_ack, 5);
@@ -764,10 +800,10 @@ mod tests {
         // (the "limited transmit" effect falls out of pipe accounting).
         let mut s = sender(CcKind::Reno, false);
         let t0 = SimTime::ZERO;
-        s.start(t0);
+        s.start(t0, &mut Vec::new());
         let t = t0 + SimDuration::from_millis(25);
-        let pkts = s.on_ack(t, sack_ack(0, 1, 3)); // 2 sacked, gap below threshold
-                                                   // pipe = 10 - 2 = 8 < cwnd 10 => 2 new segments go out.
+        let pkts = sent(|o| s.on_ack(t, sack_ack(0, 1, 3), o)); // 2 sacked, gap below threshold
+                                                                // pipe = 10 - 2 = 8 < cwnd 10 => 2 new segments go out.
         assert_eq!(pkts.len(), 2);
         assert!(pkts.iter().all(|p| !p.is_retx));
     }

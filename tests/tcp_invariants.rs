@@ -59,13 +59,15 @@ proptest! {
         let mut now = SimTime::ZERO;
         let mut cum = 0u64;
         let mut delivered_prev = 0u64;
-        s.start(now);
+        let mut pkts = Vec::new();
+        s.start(now, &mut pkts);
         for script in scripts {
             now += SimDuration::from_millis(7);
 
             if script.fire_rto {
                 if let Some(d) = s.rto_deadline() {
-                    let pkts = s.on_rto_fire(d.max(now));
+                    pkts.clear();
+                    s.on_rto_fire(d.max(now), &mut pkts);
                     now = now.max(d);
                     for p in &pkts {
                         prop_assert!(p.seq < 10_000_000);
@@ -93,7 +95,8 @@ proptest! {
                 sacks,
                 echo_sent_at: Some(SimTime::ZERO),
             };
-            let pkts = s.on_ack(now, ack);
+            pkts.clear();
+            s.on_ack(now, ack, &mut pkts);
 
             // Invariants.
             prop_assert!(s.pipe() <= s.outstanding(), "pipe {} > outstanding {}", s.pipe(), s.outstanding());
