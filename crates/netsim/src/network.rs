@@ -82,7 +82,7 @@ pub struct Network {
     ack_flush_pending: Vec<bool>,
     loss_rng: SimRng,
     /// Packets a sender just released, on their way to the access link
-    /// (kept across events so sending never allocates).
+    /// (one buffer reused across events, not a fresh `Vec` per event).
     outbox: Vec<Packet>,
     /// Queue stats snapshot taken at warm-up.
     pub warmup_queue_stats: Option<QueueStats>,
