@@ -74,12 +74,16 @@ impl SimDuration {
     }
 
     /// Construct from fractional seconds, rounding to the nearest
-    /// nanosecond. Negative inputs clamp to zero.
+    /// nanosecond (ties away from zero). Negative inputs clamp to zero.
+    ///
+    /// Runs once per packet serialization and pacing gap in `netsim`,
+    /// so it rounds with the inline `fastmath` helper rather than
+    /// `f64::round`, which is a libm call on the baseline x86-64 target.
     pub fn from_secs_f64(s: f64) -> SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(crate::fastmath::round_half_away(s * 1e9) as u64)
     }
 
     /// Raw nanoseconds.
@@ -180,6 +184,23 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        let mut rng = crate::SimRng::new(3);
+        for _ in 0..200_000 {
+            // Up to ~2^60 ns: past the 2^52 ns where every f64 is whole.
+            let s = rng.uniform01() * 10f64.powf(rng.uniform(-12.0, 9.0));
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_nanos(),
+                (s * 1e9).round() as u64,
+                "s = {s:e}"
+            );
+        }
+        // Half-nanosecond ties round up.
+        assert_eq!(SimDuration::from_secs_f64(2.5e-9).as_nanos(), 3);
+        assert_eq!(SimDuration::from_secs_f64(1e30).as_nanos(), u64::MAX);
     }
 
     #[test]

@@ -41,17 +41,23 @@ impl Ladder {
     /// `select(est, safety, Some(cap))`, but sessions with a constant
     /// cap can precompute the prefix once and skip the per-rung ceiling
     /// comparisons (and the dead rungs above the cap) on every chunk.
+    ///
+    /// Runs at every chunk boundary, so it is branch-free. The ladder
+    /// ascends, so the rungs within budget form a prefix, and so do the
+    /// permitted rungs; the rung picked ends the shorter prefix. The
+    /// count runs over the whole ladder, a trip count that never
+    /// changes, because capped and uncapped sessions interleave in the
+    /// boundary list and a per-session trip count mispredicts the loop
+    /// exit, as the reverse scan mispredicted its data-dependent exit.
+    /// A NaN budget affords no rung, as in the scan.
     #[inline]
     pub fn select_from_top(&self, permitted: usize, throughput_est_bps: f64, safety: f64) -> f64 {
         let budget = throughput_est_bps * safety;
-        for &r in self.rates[..permitted].iter().rev() {
-            if r <= budget {
-                return r;
-            }
-        }
+        let within_budget: usize = self.rates.iter().map(|&r| usize::from(r <= budget)).sum();
         // Must stream something: the lowest permitted rung, or the
-        // ladder floor when the cap sits below the whole ladder.
-        self.rates[0]
+        // ladder floor when the cap sits below the whole ladder — both
+        // are `rates[0]`.
+        self.rates[within_budget.min(permitted).saturating_sub(1)]
     }
 
     /// Highest rung (uncapped).
@@ -95,6 +101,7 @@ pub fn perceptual_quality(bitrate_bps: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ladder() -> Ladder {
         Ladder::new(vec![235e3, 750e3, 1_750e3, 3_000e3, 5_800e3])
@@ -121,6 +128,79 @@ mod tests {
         assert_eq!(l.select(1e6, 0.8, Some(1_750e3)), 750e3);
         // Cap below the whole ladder still returns something playable.
         assert_eq!(l.select(10e6, 0.8, Some(100e3)), 235e3);
+    }
+
+    /// The reverse scan `select_from_top` replaced: the highest
+    /// permitted rung within budget, else the floor.
+    fn select_from_top_scan(l: &Ladder, permitted: usize, est: f64, safety: f64) -> f64 {
+        let budget = est * safety;
+        for &r in l.rates[..permitted].iter().rev() {
+            if r <= budget {
+                return r;
+            }
+        }
+        l.rates[0]
+    }
+
+    #[test]
+    fn select_from_top_edges_match_scan() {
+        let l = ladder();
+        let n = l.rates().len();
+        let mut ests = vec![
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        // Budgets exactly on each rung and one ulp either side.
+        for &r in l.rates() {
+            for b in [r, r.next_up(), r.next_down()] {
+                ests.push(b);
+                ests.push(b / 0.8);
+            }
+        }
+        for permitted in 0..=n {
+            for &est in &ests {
+                for safety in [0.8, 1.0] {
+                    let got = l.select_from_top(permitted, est, safety);
+                    let want = select_from_top_scan(&l, permitted, est, safety);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "permitted {permitted}, est {est:e}, safety {safety}"
+                    );
+                }
+            }
+        }
+        // A budget exactly on a rung buys that rung.
+        assert_eq!(l.select_from_top(n, 1_750e3, 1.0), 1_750e3);
+        assert_eq!(l.select_from_top(0, 1e9, 1.0), 235e3);
+    }
+
+    proptest! {
+        #[test]
+        fn select_from_top_matches_scan(
+            rates in proptest::collection::vec(1e3f64..1e8, 1..16),
+            permitted in 0usize..17,
+            est in -1e3f64..2e8,
+            safety in 0.1f64..1.5,
+        ) {
+            let mut rates = rates;
+            rates.sort_by(f64::total_cmp);
+            rates.dedup();
+            let l = Ladder::new(rates);
+            let permitted = permitted.min(l.rates().len());
+            let got = l.select_from_top(permitted, est, safety);
+            let want = select_from_top_scan(&l, permitted, est, safety);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            // A budget on a rung selects that rung (or the floor when
+            // the rung is not permitted).
+            let on = l.rates()[permitted.saturating_sub(1)];
+            prop_assert_eq!(l.select_from_top(permitted, on, 1.0), on);
+        }
     }
 
     #[test]

@@ -23,6 +23,28 @@
 //!    transitions, session completion) that also refreshes each
 //!    survivor's next-tick demand while its state is in cache.
 //!
+//! The passes avoid branches whose outcome the predictor cannot learn,
+//! and every output stays bit-identical:
+//!
+//! - the demand refresh is an arithmetic select (`next_demand`): a
+//!   session flips between idling on a full buffer and downloading every
+//!   few ticks, so a branch there mispredicts;
+//! - finished slots are parked (`park`) in a state the phase pass steps
+//!   as a no-op, instead of being skipped by a `dead` test at random
+//!   slots;
+//! - the ABR rung is a count over the whole ladder
+//!   ([`Ladder::select_from_top`]), not a reverse scan with a
+//!   data-dependent exit;
+//! - `dessim::fast_exp` rounds inline. `f64::round` compiles to an
+//!   out-of-line call on the baseline x86-64 target, which lacks the
+//!   SSE4.1 `roundsd` instruction; the same holds for `trunc`, `floor`
+//!   and `ceil`, so keep them out of the per-boundary path.
+//!
+//! On the five-day link (`perfbench`'s `link_5day_tick`) this took the
+//! phase pass from ~8.4 to ~3.7 ns and the chunk-boundary slow path from
+//! ~7.8 to ~6.6 ns per session-tick (2 vCPU; see `ROADMAP.md`).
+//! `tests/streamsim_pinned.rs` pins the tick loop's outputs bit for bit.
+//!
 //! Per-session minimum-RTT tracking is global rather than per client:
 //! a monotone suffix-min stack over the tick RTT series answers "min
 //! RTT over this session's lifetime" with one binary search at finish
@@ -119,9 +141,9 @@ pub struct ClientArena {
     // Cold side table.
     cold: Vec<Cold>,
     /// Tombstones: finished sessions stay in place (demand zeroed, no
-    /// allocation-order entry, skipped by the phase pass) until enough
-    /// accumulate to amortize a whole-arena compaction — see
-    /// [`ClientArena::needs_compaction`].
+    /// allocation-order entry, parked so the phase pass steps them as a
+    /// no-op — see `park`) until enough accumulate to amortize a
+    /// whole-arena compaction — see [`ClientArena::needs_compaction`].
     dead: Vec<bool>,
     dead_count: usize,
     /// Scratch: chunk-boundary events collected by the download pass,
@@ -580,7 +602,10 @@ impl ClientArena {
         // xoshiro chains did not show up as wall-clock). Kept because
         // the draw loop is now a self-contained batch point: a SIMD or
         // table-sharing sampler can replace pass 2a without touching
-        // the ABR logic.
+        // the ABR logic. Splitting pass 2a once more — all draws into a
+        // scratch list, then `fast_exp` over it — measured no faster,
+        // and neither did inlining the ziggurat's accept test here
+        // (slower: ~34 vs ~16 ns per boundary in isolation).
         for &(iu, _) in boundary_scratch[..n_boundary].iter() {
             let i = iu as usize;
             let p = chunk_params[i];
@@ -617,12 +642,11 @@ impl ClientArena {
         // the session's minimum RTT out of the global suffix-min stack
         // — the min over the same per-tick values the scalar folds
         // incrementally, hence the same f64), and the fused demand
-        // refresh for survivors.
+        // refresh for survivors. Tombstones are not skipped: a `dead`
+        // test at random slots mispredicts, so finished slots are
+        // parked (see `park`) in a state this pass steps as a no-op.
         let mut any_finished = false;
         for i in 0..n {
-            if dead[i] {
-                continue; // tombstone awaiting compaction
-            }
             match phase[i] {
                 Phase::Startup => {
                     if buffer_s[i] >= cfg.startup_buffer_s {
@@ -651,12 +675,8 @@ impl ClientArena {
                         finished[i] = true;
                         dead[i] = true;
                         *dead_count += 1;
-                        // Dead slots are omitted from the allocation
-                        // order, whose contract requires their demand
-                        // to be zero.
-                        demand[i] = 0.0;
+                        park(&mut phase[i], &mut buffer_s[i], &mut watched_s[i]);
                         any_finished = true;
-                        continue;
                     }
                 }
                 Phase::Playing => {
@@ -690,9 +710,8 @@ impl ClientArena {
                         finished[i] = true;
                         dead[i] = true;
                         *dead_count += 1;
-                        demand[i] = 0.0;
+                        park(&mut phase[i], &mut buffer_s[i], &mut watched_s[i]);
                         any_finished = true;
-                        continue;
                     }
                 }
                 Phase::Rebuffering => {
@@ -701,14 +720,9 @@ impl ClientArena {
                     }
                 }
             }
-            // Demand is two-valued: zero while idling on a full playback
-            // buffer, the constant peak rate otherwise (see
-            // `Client::demand`).
-            demand[i] = if phase[i] == Phase::Playing && buffer_s[i] >= max_buffer_s {
-                0.0
-            } else {
-                peak_demand[i]
-            };
+            // Parked slots refresh to zero, as the allocation order
+            // (which omits them) requires.
+            demand[i] = next_demand(phase[i], buffer_s[i], max_buffer_s, peak_demand[i]);
         }
         any_finished
     }
@@ -1234,16 +1248,13 @@ impl ClientArena {
         self.throughput_est[i] = est;
         if done_at.is_some() {
             self.dead[i] = true;
-            // Dead slots are omitted from the allocation order, whose
-            // contract requires their demand to be zero.
-            self.demand[i] = 0.0;
-        } else {
-            self.demand[i] = if phase == Phase::Playing && buffer >= max_buffer_s {
-                0.0
-            } else {
-                peak
-            };
+            park(
+                &mut self.phase[i],
+                &mut self.buffer_s[i],
+                &mut self.watched_s[i],
+            );
         }
+        self.demand[i] = next_demand(self.phase[i], self.buffer_s[i], max_buffer_s, peak);
         (demanding, done_at)
     }
 
@@ -1350,6 +1361,31 @@ impl ClientArena {
         let mut remap = Vec::new();
         self.compact_stale(&mut remap);
     }
+}
+
+/// Next-tick demand: zero while idling on a full playback buffer, the
+/// constant peak rate otherwise (demand is two-valued — see
+/// `Client::demand`). An arithmetic select rather than a branch: a
+/// session flips between idling and downloading every few ticks, so
+/// the branch mispredicts. Exact because the peak is finite and
+/// positive (`StreamConfig::validate`): `peak · 1 = peak` and
+/// `peak · 0 = +0`, where a NaN peak would give NaN instead of zero.
+#[inline]
+fn next_demand(phase: Phase, buffer_s: f64, max_buffer_s: f64, peak: f64) -> f64 {
+    let idle = (phase == Phase::Playing) & (buffer_s >= max_buffer_s);
+    peak * f64::from(!idle)
+}
+
+/// Park a finished (tombstoned) slot so the phase pass can step it
+/// without testing `dead`: Playing on an infinite buffer is idle (zero
+/// demand, never downloads, never rebuffers), and a watched time of
+/// −∞ never reaches the watch target, so the slot cannot finish twice.
+/// Nothing reads a parked slot's columns; compaction drops them.
+#[inline]
+fn park(phase: &mut Phase, buffer_s: &mut f64, watched_s: &mut f64) {
+    *phase = Phase::Playing;
+    *buffer_s = f64::INFINITY;
+    *watched_s = f64::NEG_INFINITY;
 }
 
 /// Minimum RTT observed over the ticks `[start, now]`, answered from

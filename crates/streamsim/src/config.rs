@@ -124,6 +124,13 @@ impl std::error::Error for StreamConfigError {}
 
 impl StreamConfig {
     /// Validate all fields.
+    ///
+    /// Every float is checked for NaN as well as range (`is_finite` is
+    /// false for NaN): a NaN compares false both ways, so a bare
+    /// `v < 0.0` test lets it through. The
+    /// arena's demand refresh relies on this — it multiplies the peak
+    /// demand by 0 or 1, which turns a NaN peak into NaN where zero was
+    /// meant.
     pub fn validate(&self) -> Result<(), StreamConfigError> {
         let positive = [
             ("capacity_bps", self.capacity_bps),
@@ -135,6 +142,7 @@ impl StreamConfig {
             ("access_median_bps", self.access_median_bps),
             ("max_buffer_s", self.max_buffer_s),
             ("startup_buffer_s", self.startup_buffer_s),
+            ("resume_buffer_s", self.resume_buffer_s),
             ("mean_watch_s", self.mean_watch_s),
             ("mean_patience_s", self.mean_patience_s),
             ("abr_safety", self.abr_safety),
@@ -146,17 +154,26 @@ impl StreamConfig {
                 return Err(StreamConfigError { field: name });
             }
         }
+        let non_negative = [
+            ("queue_capacity_s", self.queue_capacity_s),
+            ("access_sigma", self.access_sigma),
+            ("throughput_noise_sigma", self.throughput_noise_sigma),
+            ("fixed_retx_bytes_per_s", self.fixed_retx_bytes_per_s),
+        ];
+        for (name, v) in non_negative {
+            if v < 0.0 || !v.is_finite() {
+                return Err(StreamConfigError { field: name });
+            }
+        }
         if self.days == 0 {
             return Err(StreamConfigError { field: "days" });
         }
-        if self.ladder_bps.is_empty() || self.ladder_bps.windows(2).any(|w| w[0] >= w[1]) {
+        if self.ladder_bps.is_empty()
+            || self.ladder_bps.iter().any(|r| !r.is_finite())
+            || self.ladder_bps.windows(2).any(|w| w[0] >= w[1])
+        {
             return Err(StreamConfigError {
                 field: "ladder_bps",
-            });
-        }
-        if self.queue_capacity_s < 0.0 {
-            return Err(StreamConfigError {
-                field: "queue_capacity_s",
             });
         }
         if !(0.0..0.5).contains(&self.loss_floor) {
@@ -164,9 +181,10 @@ impl StreamConfig {
                 field: "loss_floor",
             });
         }
-        if self.throughput_noise_sigma < 0.0 || self.fixed_retx_bytes_per_s < 0.0 {
+        // A fraction of the shed demand.
+        if !(0.0..=1.0).contains(&self.loss_to_retx) {
             return Err(StreamConfigError {
-                field: "noise/retx",
+                field: "loss_to_retx",
             });
         }
         if !(0.0..1.0).contains(&self.dip_prob) {
@@ -216,6 +234,71 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    /// Each field `validate` checks rejects NaN and its out-of-range
+    /// values, naming itself in the error.
+    #[test]
+    fn rejects_each_bad_field_by_name() {
+        type Set = fn(&mut StreamConfig, f64);
+        let cases: [(&str, Set, &[f64]); 7] = [
+            (
+                "queue_capacity_s",
+                |c, v| c.queue_capacity_s = v,
+                &[f64::NAN, -0.1, f64::INFINITY],
+            ),
+            (
+                "throughput_noise_sigma",
+                |c, v| c.throughput_noise_sigma = v,
+                &[f64::NAN, -0.1, f64::INFINITY],
+            ),
+            (
+                "fixed_retx_bytes_per_s",
+                |c, v| c.fixed_retx_bytes_per_s = v,
+                &[f64::NAN, -1.0, f64::INFINITY],
+            ),
+            (
+                "access_sigma",
+                |c, v| c.access_sigma = v,
+                &[f64::NAN, -0.1, f64::INFINITY],
+            ),
+            (
+                "resume_buffer_s",
+                |c, v| c.resume_buffer_s = v,
+                &[f64::NAN, 0.0, -1.0, f64::INFINITY],
+            ),
+            (
+                "loss_to_retx",
+                |c, v| c.loss_to_retx = v,
+                &[f64::NAN, -0.01, 1.5, f64::INFINITY],
+            ),
+            (
+                "ladder_bps",
+                |c, v| c.ladder_bps[0] = v,
+                &[f64::NAN, f64::NEG_INFINITY],
+            ),
+        ];
+        for (field, set, bad) in cases {
+            for &v in bad {
+                let mut c = StreamConfig::default();
+                set(&mut c, v);
+                assert_eq!(
+                    c.validate(),
+                    Err(StreamConfigError { field }),
+                    "{field} = {v}"
+                );
+            }
+        }
+        // Zero is in range for the non-negative fields.
+        let c = StreamConfig {
+            queue_capacity_s: 0.0,
+            throughput_noise_sigma: 0.0,
+            fixed_retx_bytes_per_s: 0.0,
+            access_sigma: 0.0,
+            loss_to_retx: 0.0,
+            ..Default::default()
+        };
+        assert!(c.validate().is_ok());
     }
 
     #[test]

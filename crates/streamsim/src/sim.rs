@@ -77,15 +77,20 @@ pub struct LinkSim {
 impl LinkSim {
     /// Build a link world. `schedule` decides each arriving session's arm.
     ///
-    /// Panics on an invalid schedule (empty `PerDay`, out-of-range
-    /// allocations — see [`AllocationSchedule::validate`]): an empty
-    /// schedule used to silently run the whole horizon untreated.
+    /// Panics on an invalid configuration (see [`StreamConfig::validate`]:
+    /// a NaN there used to flow silently into every session) and on an
+    /// invalid schedule (empty `PerDay`, out-of-range allocations — see
+    /// [`AllocationSchedule::validate`]): an empty schedule used to
+    /// silently run the whole horizon untreated.
     pub fn new(
         cfg: StreamConfig,
         link_id: LinkId,
         schedule: AllocationSchedule,
         seed: u64,
     ) -> LinkSim {
+        if let Err(e) = cfg.validate() {
+            panic!("LinkSim::new: invalid stream config: {e}");
+        }
         if let Err(e) = schedule.validate() {
             panic!("LinkSim::new: invalid allocation schedule: {e}");
         }
@@ -663,6 +668,60 @@ mod tests {
             AllocationSchedule::PerDay(vec![]),
             1,
         );
+    }
+
+    fn new_with(edit: impl FnOnce(&mut StreamConfig)) -> LinkSim {
+        let mut cfg = small_cfg();
+        edit(&mut cfg);
+        LinkSim::new(cfg, LinkId::One, AllocationSchedule::none(), 1)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid stream config: stream config field out of range: queue_capacity_s"
+    )]
+    fn nan_queue_capacity_rejected() {
+        new_with(|c| c.queue_capacity_s = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid stream config: stream config field out of range: throughput_noise_sigma"
+    )]
+    fn nan_noise_sigma_rejected() {
+        new_with(|c| c.throughput_noise_sigma = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid stream config: stream config field out of range: fixed_retx_bytes_per_s"
+    )]
+    fn nan_fixed_retx_rejected() {
+        new_with(|c| c.fixed_retx_bytes_per_s = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid stream config: stream config field out of range: access_sigma"
+    )]
+    fn bad_access_sigma_rejected() {
+        new_with(|c| c.access_sigma = -0.5);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid stream config: stream config field out of range: resume_buffer_s"
+    )]
+    fn bad_resume_buffer_rejected() {
+        new_with(|c| c.resume_buffer_s = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid stream config: stream config field out of range: loss_to_retx"
+    )]
+    fn bad_loss_to_retx_rejected() {
+        new_with(|c| c.loss_to_retx = f64::NAN);
     }
 
     #[test]
