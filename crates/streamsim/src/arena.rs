@@ -1289,11 +1289,14 @@ impl ClientArena {
     }
 
     /// Whether enough tombstones have accumulated that a compaction
-    /// pays for itself. The threshold (at least 32 dead and at least a
-    /// quarter of the slots) amortizes the whole-arena gather over many
-    /// finishes: per-tick compaction was ~10% of the five-day run.
+    /// pays for itself. A quarter of the slots amortizes the
+    /// whole-arena gather over many finishes: per-tick compaction was
+    /// ~10% of the five-day run. There is no absolute floor: the phase
+    /// pass steps parked tombstones like live sessions, so on a link
+    /// with a handful of sessions a floor of 32 dead slots made most of
+    /// the pass tombstones.
     pub fn needs_compaction(&self) -> bool {
-        self.dead_count >= 32 && 4 * self.dead_count >= self.len()
+        4 * self.dead_count >= self.len() && self.dead_count > 0
     }
 
     /// Remove every tombstoned slot from every column, preserving the
