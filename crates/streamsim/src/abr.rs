@@ -42,14 +42,13 @@ impl Ladder {
     /// cap can precompute the prefix once and skip the per-rung ceiling
     /// comparisons (and the dead rungs above the cap) on every chunk.
     ///
-    /// Runs at every chunk boundary, so it is branch-free. The ladder
-    /// ascends, so the rungs within budget form a prefix, and so do the
-    /// permitted rungs; the rung picked ends the shorter prefix. The
-    /// count runs over the whole ladder, a trip count that never
-    /// changes, because capped and uncapped sessions interleave in the
-    /// boundary list and a per-session trip count mispredicts the loop
-    /// exit, as the reverse scan mispredicted its data-dependent exit.
-    /// A NaN budget affords no rung, as in the scan.
+    /// Branch-free, because it runs at every chunk boundary: the ladder
+    /// ascends, so the rungs within budget and the permitted rungs are
+    /// both prefixes, and the pick ends the shorter one. The count
+    /// spans the whole ladder so its trip count never varies (capped
+    /// and uncapped sessions interleave at boundaries, and a varying
+    /// trip count mispredicts the loop exit). A NaN budget affords no
+    /// rung.
     #[inline]
     pub fn select_from_top(&self, permitted: usize, throughput_est_bps: f64, safety: f64) -> f64 {
         let budget = throughput_est_bps * safety;

@@ -31,7 +31,8 @@
 //!   few ticks, so a branch there mispredicts;
 //! - finished slots are parked (`park`) in a state the phase pass steps
 //!   as a no-op, instead of being skipped by a `dead` test at random
-//!   slots;
+//!   slots (so a parked slot costs a visit, and compaction has no
+//!   absolute floor — see [`ClientArena::needs_compaction`]);
 //! - the ABR rung is a count over the whole ladder
 //!   ([`Ladder::select_from_top`]), not a reverse scan with a
 //!   data-dependent exit;
@@ -41,8 +42,9 @@
 //!   and `ceil`, so keep them out of the per-boundary path.
 //!
 //! On the five-day link (`perfbench`'s `link_5day_tick`) this took the
-//! phase pass from ~8.4 to ~3.7 ns and the chunk-boundary slow path from
-//! ~7.8 to ~6.6 ns per session-tick (2 vCPU; see `ROADMAP.md`).
+//! phase pass from ~11.6 to ~5.6 ns and the chunk-boundary slow path
+//! from ~10.9 to ~9.3 ns per session-tick (2 vCPU Xeon at 2.1 GHz; see
+//! `ROADMAP.md`).
 //! `tests/streamsim_pinned.rs` pins the tick loop's outputs bit for bit.
 //!
 //! Per-session minimum-RTT tracking is global rather than per client:

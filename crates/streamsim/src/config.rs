@@ -126,9 +126,8 @@ impl StreamConfig {
     /// Validate all fields.
     ///
     /// Every float is checked for NaN as well as range (`is_finite` is
-    /// false for NaN): a NaN compares false both ways, so a bare
-    /// `v < 0.0` test lets it through. The
-    /// arena's demand refresh relies on this — it multiplies the peak
+    /// false for NaN; a bare `v < 0.0` test lets a NaN through). The
+    /// arena's demand refresh relies on this: it multiplies the peak
     /// demand by 0 or 1, which turns a NaN peak into NaN where zero was
     /// meant.
     pub fn validate(&self) -> Result<(), StreamConfigError> {
