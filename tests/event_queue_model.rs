@@ -38,7 +38,8 @@ struct Model {
 
 impl Model {
     fn push(&mut self, time: u64, payload: u64) {
-        self.heap.push(Reverse((time, self.scheduled_total, payload)));
+        self.heap
+            .push(Reverse((time, self.scheduled_total, payload)));
         self.scheduled_total += 1;
     }
 
