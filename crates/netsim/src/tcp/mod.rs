@@ -13,6 +13,8 @@ pub mod cc;
 pub mod cubic;
 pub mod pacing;
 pub mod receiver;
+#[cfg(test)]
+mod receiver_reference;
 pub mod reno;
 pub mod rtt;
 mod scoreboard;

@@ -8,7 +8,7 @@
 
 use crate::packet::{Ack, FlowId, Packet, SackBlock, MAX_SACK_BLOCKS};
 use dessim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Outcome of processing one data segment.
 #[derive(Debug)]
@@ -33,8 +33,11 @@ pub struct Receiver {
     flow: FlowId,
     rcv_next: u64,
     /// Out-of-order data as disjoint, non-adjacent intervals
-    /// `start → end` (end exclusive), all above `rcv_next`.
-    ranges: BTreeMap<u64, u64>,
+    /// `(start, end)` (end exclusive), all above `rcv_next`, sorted by
+    /// start. New data usually lands at the back (above every hole) and
+    /// in-order data only ever touches the front, so a ring with binary
+    /// search for the rare middle insert beats a tree.
+    ranges: VecDeque<(u64, u64)>,
     /// ACK every `aggregation` in-order segments (1 = every segment).
     aggregation: u32,
     /// In-order segments received since the last ACK.
@@ -57,7 +60,7 @@ impl Receiver {
         Receiver {
             flow,
             rcv_next: 0,
-            ranges: BTreeMap::new(),
+            ranges: VecDeque::new(),
             aggregation: aggregation.max(1),
             pending: 0,
             pending_last: None,
@@ -72,35 +75,39 @@ impl Receiver {
 
     /// Number of buffered out-of-order segments.
     pub fn buffered(&self) -> usize {
-        self.ranges.iter().map(|(s, e)| (e - s) as usize).sum()
+        self.ranges.iter().map(|&(s, e)| (e - s) as usize).sum()
+    }
+
+    /// Index of the first range starting above `seq`; the range before
+    /// it, if any, is the one that could contain `seq`.
+    fn after(&self, seq: u64) -> usize {
+        self.ranges.partition_point(|&(start, _)| start <= seq)
     }
 
     /// Insert `seq` into the out-of-order interval set.
     /// Returns `false` if it was already present.
     fn insert_ooo(&mut self, seq: u64) -> bool {
-        // Find the closest range starting at or before seq.
-        if let Some((&start, &end)) = self.ranges.range(..=seq).next_back() {
+        let i = self.after(seq);
+        if i > 0 {
+            let end = self.ranges[i - 1].1;
             if seq < end {
                 return false; // duplicate
             }
             if seq == end {
                 // Extend this range rightward, possibly merging the next.
                 let mut new_end = end + 1;
-                if let Some(&next_end) = self.ranges.get(&new_end) {
-                    self.ranges.remove(&new_end);
-                    new_end = next_end;
+                if self.ranges.get(i).is_some_and(|&(s, _)| s == new_end) {
+                    new_end = self.ranges.remove(i).expect("range present").1;
                 }
-                self.ranges.insert(start, new_end);
+                self.ranges[i - 1].1 = new_end;
                 return true;
             }
         }
         // seq starts a new range or prepends the following one.
-        let mut new_end = seq + 1;
-        if let Some(&next_end) = self.ranges.get(&new_end) {
-            self.ranges.remove(&new_end);
-            new_end = next_end;
+        match self.ranges.get_mut(i) {
+            Some(next) if next.0 == seq + 1 => next.0 = seq,
+            _ => self.ranges.insert(i, (seq, seq + 1)),
         }
-        self.ranges.insert(seq, new_end);
         true
     }
 
@@ -110,24 +117,24 @@ impl Receiver {
         let mut blocks: [Option<SackBlock>; MAX_SACK_BLOCKS] = [None; MAX_SACK_BLOCKS];
         let mut n = 0;
         // Triggering range first (RFC 2018: most recent info first).
-        let trigger = self
-            .ranges
-            .range(..=for_seq)
-            .next_back()
-            .filter(|&(_, &end)| for_seq < end)
-            .map(|(&s, &e)| SackBlock { start: s, end: e });
+        let i = self.after(for_seq);
+        let trigger = i
+            .checked_sub(1)
+            .map(|j| self.ranges[j])
+            .filter(|&(_, end)| for_seq < end)
+            .map(|(start, end)| SackBlock { start, end });
         if let Some(b) = trigger {
             blocks[n] = Some(b);
             n += 1;
         }
-        for (&s, &e) in self.ranges.iter().rev() {
+        for &(start, end) in self.ranges.iter().rev() {
             if n == MAX_SACK_BLOCKS {
                 break;
             }
-            if trigger.is_some_and(|t| t.start == s) {
+            if trigger.is_some_and(|t| t.start == start) {
                 continue;
             }
-            blocks[n] = Some(SackBlock { start: s, end: e });
+            blocks[n] = Some(SackBlock { start, end });
             n += 1;
         }
         blocks
@@ -150,10 +157,13 @@ impl Receiver {
         let mut out_of_order = false;
         if pkt.seq == self.rcv_next {
             self.rcv_next += 1;
-            // Swallow a now-contiguous buffered range, if any.
-            if let Some(&end) = self.ranges.get(&self.rcv_next) {
-                self.ranges.remove(&self.rcv_next);
-                self.rcv_next = end;
+            // Swallow a now-contiguous buffered range, if any: only the
+            // lowest range can start at the new cumulative point.
+            if let Some(&(start, end)) = self.ranges.front() {
+                if start == self.rcv_next {
+                    self.ranges.pop_front();
+                    self.rcv_next = end;
+                }
             }
         } else if pkt.seq > self.rcv_next {
             out_of_order = true;
@@ -333,5 +343,87 @@ mod tests {
             ack_of(&mut r, &pkt(seq, false));
         }
         assert_eq!(r.buffered(), 6);
+    }
+
+    mod reference_model {
+        //! The ring receiver against the `BTreeMap` receiver it replaced:
+        //! every decision and counter must agree on any arrival order.
+        use super::*;
+        use crate::tcp::receiver_reference::BTreeReceiver;
+        use proptest::prelude::*;
+
+        type AckView = (
+            u64,
+            u64,
+            [Option<SackBlock>; MAX_SACK_BLOCKS],
+            Option<SimTime>,
+        );
+
+        fn view(ack: Option<Ack>) -> Option<AckView> {
+            ack.map(|a| (a.cum_ack, a.for_seq, a.sacks, a.echo_sent_at))
+        }
+
+        /// Replay `ops` against both receivers. Each op picks what
+        /// arrives: the next new segment (sometimes after a gap, which
+        /// opens a hole), a segment somewhere between the cumulative
+        /// point and the highest sent (hole fills and duplicates of
+        /// buffered data), a copy of any earlier segment, a
+        /// retransmission below the cumulative point, or a flush.
+        fn replay(aggregation: u32, ops: &[(u64, u64)]) {
+            let mut ring = Receiver::with_aggregation(FlowId(0), aggregation);
+            let mut tree = BTreeReceiver::with_aggregation(FlowId(0), aggregation);
+            let mut next = 0u64;
+            for (step, &(kind, x)) in ops.iter().enumerate() {
+                let rcv = ring.rcv_next();
+                let seq = match kind {
+                    0..=4 => {
+                        if x % 5 == 0 {
+                            next += 1 + x % 4;
+                        }
+                        next += 1;
+                        next - 1
+                    }
+                    5 | 6 => rcv + x % (next.saturating_sub(rcv) + 1),
+                    7 => x % (next + 1),
+                    8 => rcv.saturating_sub(1 + x % 4),
+                    _ => {
+                        assert_eq!(view(ring.flush()), view(tree.flush()), "flush at {step}");
+                        continue;
+                    }
+                };
+                next = next.max(seq + 1);
+                let pkt = Packet {
+                    flow: FlowId(0),
+                    seq,
+                    size_bytes: 1500,
+                    is_retx: kind >= 5,
+                    sent_at: SimTime::from_nanos(seq * 7 + kind),
+                };
+                let a = ring.on_segment(&pkt);
+                let b = tree.on_segment(&pkt);
+                assert_eq!(view(a.ack), view(b.ack), "ack for seq {seq} at {step}");
+                assert_eq!(
+                    a.want_flush_timer, b.want_flush_timer,
+                    "flush timer at {step}"
+                );
+                assert_eq!(ring.rcv_next(), tree.rcv_next(), "rcv_next at {step}");
+                assert_eq!(ring.buffered(), tree.buffered(), "buffered at {step}");
+                assert_eq!(
+                    ring.duplicate_segments, tree.duplicate_segments,
+                    "dups at {step}"
+                );
+            }
+            assert_eq!(view(ring.flush()), view(tree.flush()), "final flush");
+        }
+
+        proptest! {
+            #[test]
+            fn ring_matches_btree_reference(
+                eight in prop::bool::ANY,
+                ops in prop::collection::vec((0u64..10, 0u64..64), 1..400),
+            ) {
+                replay(if eight { 8 } else { 1 }, &ops);
+            }
+        }
     }
 }
