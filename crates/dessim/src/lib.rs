@@ -6,9 +6,11 @@
 //!
 //! 1. **Determinism.** Identical seeds and configurations produce
 //!    bit-identical event orderings. Ties in event time are broken by
-//!    insertion order (FIFO), never by heap internals.
-//! 2. **Simplicity.** A virtual clock, a binary-heap event queue and a
-//!    `Model::handle` callback. No async runtime: simulation is CPU-bound,
+//!    insertion order (FIFO), never by queue internals.
+//! 2. **Simplicity.** A virtual clock, an event queue and a
+//!    `Model::handle` callback. The queue is a delay-lane calendar: one
+//!    FIFO lane per scheduling delay, with a binary heap over the lane
+//!    heads (see [`queue`]). No async runtime: simulation is CPU-bound,
 //!    and the networking guides are explicit that async buys nothing for
 //!    CPU-bound work.
 //! 3. **Explicit randomness.** Components draw from [`rng::SimRng`]

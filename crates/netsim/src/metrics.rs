@@ -151,7 +151,8 @@ pub struct AppMetrics {
     pub throughput_bps: f64,
     /// Retransmitted fraction of bytes across its connections.
     pub retx_fraction: f64,
-    /// Mean RTT across its connections' samples (seconds).
+    /// Unweighted mean of its connections' per-flow mean RTTs (seconds),
+    /// over the flows with at least one RTT sample; NaN if none has one.
     pub mean_rtt_s: f64,
     /// Minimum RTT across its connections (seconds).
     pub min_rtt_s: f64,
@@ -169,15 +170,15 @@ impl AppMetrics {
         let throughput = flows.iter().map(|f| f.throughput_bps).sum();
         let sent: u64 = flows.iter().map(|f| f.sent_bytes).sum();
         let retx: u64 = flows.iter().map(|f| f.retx_bytes).sum();
-        let rtt_pairs: Vec<(f64, f64)> = flows
+        let flow_rtts: Vec<f64> = flows
             .iter()
-            .filter(|f| f.mean_rtt_s.is_finite())
-            .map(|f| (f.mean_rtt_s, 1.0))
+            .map(|f| f.mean_rtt_s)
+            .filter(|m| m.is_finite())
             .collect();
-        let mean_rtt = if rtt_pairs.is_empty() {
+        let mean_rtt = if flow_rtts.is_empty() {
             f64::NAN
         } else {
-            rtt_pairs.iter().map(|(m, _)| m).sum::<f64>() / rtt_pairs.len() as f64
+            flow_rtts.iter().sum::<f64>() / flow_rtts.len() as f64
         };
         let min_rtt = flows
             .iter()
@@ -286,5 +287,35 @@ mod tests {
         assert!((m.throughput_bps - 3e6).abs() < 1e-9);
         assert!((m.retx_fraction - 0.05).abs() < 1e-12);
         assert_eq!(m.connections, 2);
+    }
+
+    /// The app RTT is the plain mean of per-flow means, whatever each
+    /// flow's sample count; flows without samples are left out.
+    #[test]
+    fn app_rtt_is_unweighted_mean_of_flow_means() {
+        let flow = |rtts: &[f64]| {
+            let mut end = FlowCounters::default();
+            for &r in rtts {
+                end.record_rtt(r);
+            }
+            FlowMetrics::from_window(
+                FlowId(0),
+                AppId(0),
+                &FlowCounters::default(),
+                &end,
+                1500,
+                1.0,
+            )
+        };
+        let cfg = AppConfig {
+            connections: 3,
+            ..AppConfig::plain(CcKind::Reno)
+        };
+        let flows = vec![flow(&[0.01]), flow(&[0.03, 0.03, 0.03, 0.03]), flow(&[])];
+        let m = AppMetrics::aggregate(AppId(0), &cfg, flows);
+        // Sample-weighted would give 0.026; per-flow means average to 0.02.
+        assert!((m.mean_rtt_s - 0.02).abs() < 1e-12, "{}", m.mean_rtt_s);
+        let none = AppMetrics::aggregate(AppId(0), &cfg, vec![flow(&[])]);
+        assert!(none.mean_rtt_s.is_nan());
     }
 }
