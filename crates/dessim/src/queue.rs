@@ -116,7 +116,6 @@ pub struct EventQueue<E> {
     /// Time of the last popped event; push delays are measured from it.
     now: SimTime,
     len: usize,
-    next_seq: u64,
     scheduled_total: u64,
 }
 
@@ -138,15 +137,18 @@ impl<E> EventQueue<E> {
             heap: Vec::new(),
             now: SimTime::ZERO,
             len: 0,
-            next_seq: 0,
             scheduled_total: 0,
         }
     }
 
     /// Schedule `event` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        #[cfg(debug_assertions)]
+        if self.scheduled_total.is_power_of_two() {
+            self.assert_invariants();
+        }
+        // The push count doubles as the FIFO tie-break.
+        let seq = self.scheduled_total;
         self.scheduled_total += 1;
         self.len += 1;
         let slot = self.alloc_slot(time, seq, event);
@@ -331,56 +333,56 @@ impl<E> EventQueue<E> {
         }
         self.heap[i] = moving;
     }
+
+    /// Check every structural invariant: each lane sorted by
+    /// `(time, seq)`, each heap entry equal to its lane's front and
+    /// in heap order, the lane map pointing at live lanes, and `len`
+    /// equal to the number of live slots. O(pending): debug builds run it
+    /// at exponentially spaced pushes, tests wherever they like.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_invariants(&self) {
+        let mut live = 0;
+        for (i, h) in self.heap.iter().enumerate() {
+            if i > 0 {
+                assert!(self.heap[(i - 1) / 2].key <= h.key, "heap order");
+            }
+            let lane = &self.lanes[h.lane as usize];
+            assert_eq!(h.key, key(self.front(h.lane).time, self.front(h.lane).seq));
+            let mut at = lane.head;
+            let mut prev: Option<u128> = None;
+            loop {
+                let s = &self.slots[at as usize];
+                assert!(s.event.is_some(), "lane slot is live");
+                let k = key(s.time, s.seq);
+                assert!(prev.is_none_or(|p| p < k), "lane sorted");
+                prev = Some(k);
+                live += 1;
+                if at == lane.tail {
+                    assert_eq!(s.next, NIL, "tail ends the lane");
+                    break;
+                }
+                at = s.next;
+            }
+        }
+        assert_eq!(live, self.len, "len equals the live slot count");
+        assert_eq!(
+            self.slots.iter().filter(|s| s.event.is_some()).count(),
+            self.len
+        );
+        for &lane in self.by_delay.values() {
+            assert!(
+                self.heap.iter().any(|h| h.lane == lane),
+                "mapped lane is live"
+            );
+        }
+        assert_eq!(self.heap.len() + self.free_lanes.len(), self.lanes.len());
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
-
-    impl<E> EventQueue<E> {
-        /// Check every structural invariant: each lane sorted by
-        /// `(time, seq)`, each heap entry equal to its lane's front and
-        /// in heap order, the lane map pointing at live lanes, and `len`
-        /// equal to the number of live slots.
-        fn assert_invariants(&self) {
-            let mut live = 0;
-            for (i, h) in self.heap.iter().enumerate() {
-                if i > 0 {
-                    assert!(self.heap[(i - 1) / 2].key <= h.key, "heap order");
-                }
-                let lane = &self.lanes[h.lane as usize];
-                assert_eq!(h.key, key(self.front(h.lane).time, self.front(h.lane).seq));
-                let mut at = lane.head;
-                let mut prev: Option<u128> = None;
-                loop {
-                    let s = &self.slots[at as usize];
-                    assert!(s.event.is_some(), "lane slot is live");
-                    let k = key(s.time, s.seq);
-                    assert!(prev.is_none_or(|p| p < k), "lane sorted");
-                    prev = Some(k);
-                    live += 1;
-                    if at == lane.tail {
-                        assert_eq!(s.next, NIL, "tail ends the lane");
-                        break;
-                    }
-                    at = s.next;
-                }
-            }
-            assert_eq!(live, self.len, "len equals the live slot count");
-            assert_eq!(
-                self.slots.iter().filter(|s| s.event.is_some()).count(),
-                self.len
-            );
-            for &lane in self.by_delay.values() {
-                assert!(
-                    self.heap.iter().any(|h| h.lane == lane),
-                    "mapped lane is live"
-                );
-            }
-            assert_eq!(self.heap.len() + self.free_lanes.len(), self.lanes.len());
-        }
-    }
 
     #[test]
     fn pops_in_time_order() {
