@@ -35,7 +35,7 @@
 //! # Memory
 //!
 //! Events live in one shared slot array; each lane is a linked list of
-//! slot indices. Freed slots and emptied lanes are recycled, and the
+//! slot indices, threaded through a parallel array of links. Freed slots and emptied lanes are recycled, and the
 //! lane map holds only non-empty lanes. Slots, lanes and map entries
 //! are each bounded by the peak number of pending events.
 
@@ -46,12 +46,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// End of a slot list.
 const NIL: u32 = u32::MAX;
 
-/// One event's storage: its key, the next slot in its lane (or in the
-/// free list), and the event itself (`None` while the slot is free).
+/// One event's storage: its key and the event itself (`None` while the
+/// slot is free). The link to the next slot lives in a separate array,
+/// which keeps a slot the size of the old heap entry.
 struct Slot<E> {
     time: SimTime,
     seq: u64,
-    next: u32,
     event: Option<E>,
 }
 
@@ -105,7 +105,9 @@ impl Hasher for DelayHasher {
 /// queue's internals. See the module docs for the lane design.
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
-    /// Head of the free-slot list, linked through `Slot::next`.
+    /// `next[i]`: the slot after slot `i` in its lane or in the free list.
+    next: Vec<u32>,
+    /// Head of the free-slot list, linked through `next`.
     free_slot: u32,
     lanes: Vec<Lane>,
     free_lanes: Vec<u32>,
@@ -130,6 +132,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             slots: Vec::new(),
+            next: Vec::new(),
             free_slot: NIL,
             lanes: Vec::new(),
             free_lanes: Vec::new(),
@@ -157,7 +160,7 @@ impl<E> EventQueue<E> {
             let tail = self.lanes[lane as usize].tail;
             if self.slots[tail as usize].time <= time {
                 debug_assert!(self.slots[tail as usize].seq < seq);
-                self.slots[tail as usize].next = slot;
+                self.next[tail as usize] = slot;
                 self.lanes[lane as usize].tail = slot;
                 return;
             }
@@ -182,9 +185,9 @@ impl<E> EventQueue<E> {
             "heap head is not its lane's front"
         );
         let time = slot.time;
-        let next = slot.next;
         let event = slot.event.take().expect("lane slot holds an event");
-        slot.next = self.free_slot;
+        let next = self.next[idx as usize];
+        self.next[idx as usize] = self.free_slot;
         self.free_slot = idx;
         self.len -= 1;
         self.now = time;
@@ -261,17 +264,17 @@ impl<E> EventQueue<E> {
         let fresh = Slot {
             time,
             seq,
-            next: NIL,
             event: Some(event),
         };
         if self.free_slot == NIL {
             self.slots.push(fresh);
+            self.next.push(NIL);
             u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
         } else {
             let idx = self.free_slot;
-            let slot = &mut self.slots[idx as usize];
-            self.free_slot = slot.next;
-            *slot = fresh;
+            self.free_slot = self.next[idx as usize];
+            self.next[idx as usize] = NIL;
+            self.slots[idx as usize] = fresh;
             idx
         }
     }
@@ -358,10 +361,10 @@ impl<E> EventQueue<E> {
                 prev = Some(k);
                 live += 1;
                 if at == lane.tail {
-                    assert_eq!(s.next, NIL, "tail ends the lane");
+                    assert_eq!(self.next[at as usize], NIL, "tail ends the lane");
                     break;
                 }
-                at = s.next;
+                at = self.next[at as usize];
             }
         }
         assert_eq!(live, self.len, "len equals the live slot count");
