@@ -35,9 +35,10 @@
 //! # Memory
 //!
 //! Events live in one shared slot array; each lane is a linked list of
-//! slot indices, threaded through a parallel array of links. Freed slots and emptied lanes are recycled, and the
-//! lane map holds only non-empty lanes. Slots, lanes and map entries
-//! are each bounded by the peak number of pending events.
+//! slot indices, threaded through a parallel array of links. Freed
+//! slots and emptied lanes are recycled, and the lane map holds only
+//! non-empty lanes. Slots, lanes and map entries are each bounded by the
+//! peak number of pending events.
 
 use crate::time::SimTime;
 use std::collections::HashMap;
@@ -201,14 +202,13 @@ impl<E> EventQueue<E> {
                 self.by_delay.remove(&delay);
             }
             self.free_lanes.push(top.lane);
-            let last = self.heap.pop().expect("heap holds the popped lane");
-            if self.heap.is_empty() {
-                debug_assert_eq!(self.len, 0, "len disagrees with the live slots");
-                return Some((time, event));
-            }
-            self.heap[0] = last;
+            self.heap.swap_remove(0);
         }
-        self.sift_down_root();
+        if self.heap.is_empty() {
+            debug_assert_eq!(self.len, 0, "len disagrees with the live slots");
+        } else {
+            self.sift_down_root();
+        }
         Some((time, event))
     }
 

@@ -175,6 +175,10 @@ impl Receiver {
             out_of_order = true;
             self.duplicate_segments += 1;
         }
+        debug_assert!(
+            self.ranges.front().is_none_or(|&(s, _)| s > self.rcv_next),
+            "buffered ranges must sit above a hole"
+        );
 
         // Immediate ACK when: feedback is urgent (out-of-order data or
         // open holes), or the aggregation quota is reached.
