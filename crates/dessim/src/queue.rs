@@ -4,15 +4,15 @@
 //! # Lanes
 //!
 //! Simulations schedule most events a fixed delay after "now": the
-//! packet dumbbell's per-flow propagation delays, its two serialization
-//! times and zero delay cover ~97% of its pushes. Two events pushed
-//! with the same delay `d` from a clock that only moves forward are
-//! due in push order. So the queue keeps one FIFO *lane* per delay,
-//! measured from the time of the last popped event, and appends each
-//! push to its delay's lane. A binary heap orders only the lanes' head
-//! events, keyed by `(time, seq)`, where `seq` is the push count. A
-//! push into a live lane costs an append and no heap work; the heap
-//! holds a few dozen lane heads instead of every pending event.
+//! packet dumbbell's pushes are nearly all per-flow propagation delays,
+//! its two serialization times or zero delay. Two events pushed with
+//! the same delay `d` from a clock that only moves forward are due in
+//! push order. So the queue keeps one FIFO *lane* per delay, measured
+//! from the time of the last popped event, and appends each push to its
+//! delay's lane. A binary heap orders only the lanes' head events, keyed
+//! by `(time, seq)`, where `seq` is the push count. A push into a live
+//! lane costs an append and no heap work. In the dumbbell the heap
+//! holds ~13 lane heads where a plain heap held ~360 events.
 //!
 //! # Exactness
 //!
@@ -49,7 +49,8 @@ const NIL: u32 = u32::MAX;
 
 /// One event's storage: its key and the event itself (`None` while the
 /// slot is free). The link to the next slot lives in a separate array,
-/// which keeps a slot the size of the old heap entry.
+/// so a slot carries no padding beyond the event's own (for `netsim`
+/// events, 128 bytes).
 struct Slot<E> {
     time: SimTime,
     seq: u64,

@@ -1,6 +1,7 @@
-//! The receiver as it was before its out-of-order ranges moved to a
-//! sorted ring: intervals in a `BTreeMap`. Kept only as the reference
-//! model the property tests in `receiver.rs` compare against.
+//! A receiver that keeps its out-of-order intervals in a `BTreeMap`:
+//! the direct implementation, kept as the reference model that the
+//! property tests in `receiver.rs` compare the sorted-ring receiver
+//! against.
 
 use super::receiver::AckDecision;
 use crate::packet::{Ack, FlowId, Packet, SackBlock, MAX_SACK_BLOCKS};
